@@ -247,9 +247,6 @@ def build_parser() -> _Parser:
                        help="planar method: write the decision tree as JSON")
     p_mix.add_argument("--dot", default=None,
                        help="export the recolouring graph as DOT (desk scale)")
-    p_mix.add_argument("--deterministic", action="store_true",
-                       help="accepted for interface stability; output is "
-                            "already deterministic")
     p_mix.set_defaults(func=cmd_mix)
 
     p_reach = sub.add_parser("reach", help="decide recolouring reachability")

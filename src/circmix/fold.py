@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circular import CircularParams, require_ratio_open
-from .graphs import (Graph, SizeGuardError, bipartition, build_graph, canonical_key,
-                     connected_components, distance, girth_cycle,
+from .graphs import (Graph, SizeGuardError, bfs_forest, bipartition, build_graph,
+                     canonical_key, connected_components, girth_cycle,
                      has_cycle_of_length_at_least, induced_subgraph, is_connected,
                      longest_cycle_length)
 from .kernels import BudgetExceededError
@@ -52,7 +52,8 @@ def elementary_fold(g: Graph, x: int, y: int):
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"fold endpoints ({x},{y}) out of range")
-    if distance(g, x, y) != 2:
+    if x == y or g.has_edge(x, y) or \
+            not set(g.adjacency[x]).intersection(g.adjacency[y]):
         raise ValueError(f"vertices {x} and {y} are not at distance 2")
     kept, removed = min(x, y), max(x, y)
     vmap = []
@@ -177,43 +178,26 @@ def retract_to_path(g: Graph, x: int, y: int) -> RetractionMap:
         raise ValueError("path retraction requires a bipartite graph")
     if not is_connected(g):
         raise ValueError("path retraction requires a connected graph")
-    path = _shortest_path(g, x, y)
+    if not 0 <= y < g.n:
+        raise ValueError(f"no path between {x} and {y}")
+    parent, depth, _ = bfs_forest(g, (x,))
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    path.reverse()
     k = len(path) - 1
     if k == 0:
         if g.m > 0:
             raise ValueError("cannot retract a graph with edges onto one vertex")
         return RetractionMap(image=(x,), assignment=tuple(x for _ in range(g.n)))
     assignment = []
-    for v in range(g.n):
-        d = distance(g, x, v)
+    for d in depth:
         r = d % (2 * k)
         assignment.append(path[r if r <= k else 2 * k - r])
     r = RetractionMap(image=tuple(path), assignment=tuple(assignment))
     image_edges = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
     _validate_retraction(g, image_edges, r)
     return r
-
-
-def _shortest_path(g: Graph, x: int, y: int) -> list:
-    from collections import deque
-
-    parent = {x: -1}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if u == y:
-            break
-        for v in g.adjacency[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if y not in parent:
-        raise ValueError(f"no path between {x} and {y}")
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def retract_to_shortest_cycle(g: Graph):
@@ -337,28 +321,38 @@ def _search_fold_closure(g: Graph, length: int, memo_budget: int,
             h = memo[key][0]
             if h.n - 1 < length:
                 continue
-            for x in range(h.n):
-                for y in range(x + 1, h.n):
-                    if distance(h, x, y) != 2:
-                        continue
-                    child, _ = elementary_fold(h, x, y)
-                    if _is_cycle_graph(child, length):
-                        return _rebuild_trace(g, memo, key, (x, y))
-                    if child.n <= length:
-                        continue
-                    if prune_by_cycle_length and \
-                            not has_cycle_of_length_at_least(child, length):
-                        continue
-                    ck = canonical_key(child)
-                    if ck in memo or ck in next_level:
-                        continue
-                    next_level[ck] = (child, key, (x, y))
-                    if len(memo) + len(next_level) > memo_budget:
-                        raise BudgetExceededError(
-                            f"fold-closure memo exceeded {memo_budget} graphs")
+            for x, y in _distance_two_pairs(h):
+                child, _ = elementary_fold(h, x, y)
+                if _is_cycle_graph(child, length):
+                    return _rebuild_trace(g, memo, key, (x, y))
+                if child.n <= length:
+                    continue
+                if prune_by_cycle_length and \
+                        not has_cycle_of_length_at_least(child, length):
+                    continue
+                ck = canonical_key(child)
+                if ck in memo or ck in next_level:
+                    continue
+                next_level[ck] = (child, key, (x, y))
+                if len(memo) + len(next_level) > memo_budget:
+                    raise BudgetExceededError(
+                        f"fold-closure memo exceeded {memo_budget} graphs")
         memo.update(next_level)
         level = list(next_level)
     return None
+
+
+def _distance_two_pairs(g: Graph) -> list:
+    """Every (x, y) with x < y at distance exactly 2, ascending: distinct,
+    non-adjacent, with a common neighbour."""
+    pairs = []
+    for x in range(g.n):
+        reach = set()
+        for w in g.adjacency[x]:
+            reach.update(g.adjacency[w])
+        reach.difference_update(g.adjacency[x])
+        pairs.extend((x, y) for y in sorted(reach) if y > x)
+    return pairs
 
 
 def _rebuild_trace(g: Graph, memo: dict, key, last_step) -> FoldTrace:

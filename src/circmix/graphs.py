@@ -84,25 +84,17 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> Bipartition:
-    """2-colour by BFS levels, or return an odd closed walk as evidence."""
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    walk = _odd_walk(parent, u, v)
-                    return Bipartition(valid=False, side=(), odd_walk=walk)
-    return Bipartition(valid=True, side=tuple(side))
+    """2-colour by BFS levels, or return an odd closed walk as evidence.
+
+    The walk closes at the first edge, in BFS order, whose ends share a level.
+    """
+    parent, depth, order = bfs_forest(g, range(g.n))
+    for u in order:
+        for v in g.adjacency[u]:
+            if depth[v] == depth[u]:
+                walk = _odd_walk(parent, u, v)
+                return Bipartition(valid=False, side=(), odd_walk=walk)
+    return Bipartition(valid=True, side=tuple(d % 2 for d in depth))
 
 
 def _odd_walk(parent: list, u: int, v: int) -> tuple:
@@ -177,27 +169,38 @@ class CycleBasis:
     fundamental: tuple  # tuple of Cycle
 
 
-def fundamental_cycle_basis(g: Graph) -> CycleBasis:
-    """BFS spanning forest (rooted at the lowest vertex of each component)
-    and the fundamental cycle of every non-tree edge."""
+def bfs_forest(g: Graph, roots) -> tuple:
+    """Deterministic BFS forest grown from each unvisited root in turn.
+
+    Returns (parent, depth, order): parent -1 at roots and at vertices no
+    root reaches, depth -1 at the latter, and ``order`` lists the reached
+    vertices in discovery order, so every parent precedes its children.
+    """
     parent = [-1] * g.n
-    depth = [0] * g.n
-    visited = [False] * g.n
-    tree = set()
-    for root in range(g.n):
-        if visited[root]:
+    depth = [-1] * g.n
+    order = []
+    for root in roots:
+        if depth[root] != -1:
             continue
-        visited[root] = True
+        depth[root] = 0
+        order.append(root)
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for v in g.adjacency[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    parent[v] = u
+                if depth[v] == -1:
                     depth[v] = depth[u] + 1
-                    tree.add((u, v) if u < v else (v, u))
+                    parent[v] = u
+                    order.append(v)
                     queue.append(v)
+    return parent, depth, order
+
+
+def fundamental_cycle_basis(g: Graph) -> CycleBasis:
+    """BFS spanning forest (rooted at the lowest vertex of each component)
+    and the fundamental cycle of every non-tree edge."""
+    parent, depth, order = bfs_forest(g, range(g.n))
+    tree = {(min(parent[v], v), max(parent[v], v)) for v in order if parent[v] != -1}
     fundamental = []
     for (u, v) in sorted(g.edges):
         if (u, v) in tree:
@@ -256,21 +259,34 @@ def girth_cycle(g: Graph) -> Optional[Cycle]:
     Deterministic: BFS from each vertex in ascending order, returning the
     first cycle of the minimum length found.
     """
+    best = shortest_cycle(g)
+    return Cycle.from_vertices(best) if best is not None else None
+
+
+def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
+    """Vertex sequence of a shortest cycle (with ``odd``, of a shortest odd
+    cycle), or None when there is none.
+
+    A BFS from each vertex s in ascending order closes a cycle through the
+    tree at every non-tree edge u-v; that cycle is odd exactly when u and v
+    sit on the same level.  The first cycle of the minimum length wins.
+    """
     best = None
+    slack = 1 if odd else 0
     for s in range(g.n):
         dist = {s: 0}
         parent = {s: -1}
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            if best is not None and dist[u] * 2 >= len(best):
+            if best is not None and 2 * dist[u] + slack >= len(best):
                 break
             for v in g.adjacency[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     parent[v] = u
                     queue.append(v)
-                elif parent[u] != v:
+                elif parent[u] != v and (not odd or dist[v] == dist[u]):
                     # Cross or level edge closes a cycle through s.
                     pu, pv = [u], [v]
                     while pu[-1] != -1:
@@ -282,15 +298,12 @@ def girth_cycle(g: Graph) -> Optional[Cycle]:
                     # Trim to the first common ancestor.
                     iu = next(i for i, x in enumerate(pu) if x in common)
                     iv = next(i for i, x in enumerate(pv) if x in common)
-                    if pu[iu] != pv[iv]:
-                        continue
                     vs = pu[: iu + 1] + list(reversed(pv[:iv]))
-                    if len(vs) >= 3 and len(set(vs)) == len(vs):
-                        if best is None or len(vs) < len(best):
-                            best = vs
+                    if best is None or len(vs) < len(best):
+                        best = vs
         if best is not None and len(best) == 3:
             break
-    return Cycle.from_vertices(best) if best is not None else None
+    return best
 
 
 def longest_cycle_length(g: Graph, vertex_cap: int = 24) -> int:
@@ -300,61 +313,51 @@ def longest_cycle_length(g: Graph, vertex_cap: int = 24) -> int:
     """
     if g.n > vertex_cap:
         raise SizeGuardError(f"longest-cycle search capped at {vertex_cap} vertices")
-    best = 0
-    for s in range(g.n):
-        best = max(best, _longest_cycle_from(g, s, best))
-    return best
-
-
-def _longest_cycle_from(g: Graph, s: int, best: int) -> int:
-    path = [s]
-    on_path = {s}
-
-    def extend() -> int:
-        nonlocal best
-        u = path[-1]
-        for v in g.adjacency[u]:
-            if v == s and len(path) >= 3:
-                best = max(best, len(path))
-            elif v > s and v not in on_path:
-                path.append(v)
-                on_path.add(v)
-                extend()
-                on_path.discard(v)
-                path.pop()
-        return best
-
-    return extend()
+    return _longest_cycle(g, 0, g.n)
 
 
 def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
     """Early-exit variant of the longest-cycle search."""
     if length <= 0:
         return True
-    found = False
+    enough = max(3, length)
+    return _longest_cycle(g, enough - 1, enough) >= enough
+
+
+def _longest_cycle(g: Graph, best: int, stop: int) -> int:
+    """The larger of ``best`` and the longest simple cycle length, by DFS;
+    returns as soon as that reaches ``stop``.
+
+    Each cycle is walked from its minimum vertex s through larger vertices,
+    so it has at most n - s vertices.
+    """
     for s in range(g.n):
+        if g.n - s <= best:
+            break
         path = [s]
         on_path = {s}
 
         def extend() -> bool:
-            u = path[-1]
-            for v in g.adjacency[u]:
-                if v == s and len(path) >= max(3, length):
-                    return True
-                if v > s and v not in on_path:
+            nonlocal best
+            for v in g.adjacency[path[-1]]:
+                if v == s:
+                    if len(path) > best and len(path) >= 3:
+                        best = len(path)
+                        if best >= stop:
+                            return True
+                elif v > s and v not in on_path:
                     path.append(v)
                     on_path.add(v)
-                    hit = extend()
+                    done = extend()
                     on_path.discard(v)
                     path.pop()
-                    if hit:
+                    if done:
                         return True
             return False
 
-        found = extend()
-        if found:
+        if extend():
             break
-    return found
+    return best
 
 
 @dataclass(frozen=True)
@@ -437,40 +440,19 @@ def _pop_block(edge_stack: list, top_edge: tuple) -> Block:
 
 def distance(g: Graph, u: int, v: int) -> Optional[int]:
     """BFS hop count from u to v; None when unreachable."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.adjacency[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return None
+    d = bfs_forest(g, (u,))[1][v]
+    return None if d == -1 else d
 
 
 def connected_components(g: Graph) -> list:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    seen = [False] * g.n
+    _, depth, order = bfs_forest(g, range(g.n))
     comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
+    for v in order:  # each component is a contiguous run starting at its root
+        if depth[v] == 0:
+            comps.append([])
+        comps[-1].append(v)
+    return [sorted(c) for c in comps]
 
 
 def is_connected(g: Graph) -> bool:

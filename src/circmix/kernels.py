@@ -2,56 +2,22 @@
 
 States are colour vectors packed into int16 rows; a state's code is its
 mixed-radix value with vertex 0 as the most significant digit, so ascending
-codes equal lexicographic order.  Every kernel has two implementations:
+codes equal lexicographic order.  The kernels are plain numpy.  BFS parent
+trees are deterministic (a state's parent is its lowest-index discoverer in
+the previous level), and the tests hold them to a pure-Python reference.
 
-* a numba @njit path (default when numba imports), and
-* a pure-numpy fallback,
-
-selected by the CIRCMIX_BACKEND environment variable ("numba" or "numpy") or
-per call via the ``backend=`` argument.  Both paths produce identical arrays,
-including identical BFS parent trees (first discoverer = lowest state index
-within a level), and tests hold them to that.
-
-``benchmarks/bench_kernels.py`` compares the two.
+``python3 perfbench/run.py`` times them end to end and per layer.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 DEFAULT_STATE_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """State-count budget hit; never a silent approximation."""
-
-
-def selected_backend(override=None) -> str:
-    """Resolve the kernel backend: explicit arg, then env, then availability."""
-    backend = override or os.environ.get("CIRCMIX_BACKEND", "").strip().lower()
-    if backend == "":
-        backend = "numba" if HAVE_NUMBA else "numpy"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
 
 
 def compat_table(p: int, q: int) -> np.ndarray:
@@ -95,20 +61,15 @@ def state_codes(states: np.ndarray, p: int) -> np.ndarray:
 # Proper-state enumeration (lexicographic).
 
 
-def enumerate_states(g, p: int, q: int, budget: int = DEFAULT_STATE_BUDGET,
-                     backend=None) -> np.ndarray:
+def enumerate_states(g, p: int, q: int,
+                     budget: int = DEFAULT_STATE_BUDGET) -> np.ndarray:
     """All proper colour vectors of g at (p,q), lexicographic, shape (S, n)."""
     if g.n == 0:
         return np.zeros((1, 0), dtype=np.int16)
     digit_weights(g.n, p)  # reject instances whose codes would overflow
     compat = compat_table(p, q)
     indptr, indices = adjacency_csr(g)
-    if selected_backend(backend) == "numba":
-        return _enumerate_numba(g.n, p, indptr, indices, compat, budget)
-    return _enumerate_numpy(g.n, p, indptr, indices, compat, budget)
-
-
-def _enumerate_numpy(n, p, indptr, indices, compat, budget):
+    n = g.n
     states = np.arange(p, dtype=np.int16).reshape(p, 1)
     for v in range(1, n):
         if states.shape[0] == 0:
@@ -128,58 +89,15 @@ def _enumerate_numpy(n, p, indptr, indices, compat, budget):
     return states
 
 
-@njit(cache=True)
-def _enumerate_numba(n, p, indptr, indices, compat, budget):
-    cap = 1024
-    out = np.empty((cap, n), dtype=np.int16)
-    count = 0
-    assignment = np.zeros(n, dtype=np.int16)
-    colour = np.zeros(n, dtype=np.int16)  # next colour to try per level
-    v = 0
-    while v >= 0:
-        placed = False
-        c = colour[v]
-        while c < p:
-            good = True
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if u < v and not compat[assignment[u], c]:
-                    good = False
-                    break
-            if good:
-                assignment[v] = c
-                colour[v] = c + 1
-                placed = True
-                break
-            c += 1
-        if not placed:
-            colour[v] = 0
-            v -= 1
-            continue
-        if v + 1 == n:
-            if count == cap:
-                cap *= 2
-                grown = np.empty((cap, n), dtype=np.int16)
-                grown[:count] = out[:count]
-                out = grown
-            out[count] = assignment
-            count += 1
-            if count > budget:
-                raise BudgetExceededError("proper state budget exceeded")
-        else:
-            v += 1
-    return out[:count].copy()
-
-
 # ---------------------------------------------------------------------------
 # BFS over the recolouring graph (states adjacent when they differ at one
-# vertex).  Level-synchronous with sorted frontiers so both backends build
-# the same shortest-path tree: a state's parent is its lowest-index
-# discoverer in the previous level.
+# vertex).  Level-synchronous with sorted frontiers, so the shortest-path
+# tree is deterministic: a state's parent is its lowest-index discoverer in
+# the previous level.
 
 
-def bfs_tree(states, codes, g, p: int, q: int, start: int, target: int = -1,
-             backend=None) -> tuple:
+def bfs_tree(states, codes, g, p: int, q: int, start: int,
+             target: int = -1) -> tuple:
     """Return (visited bool[S], parent int64[S]) for BFS from ``start``.
 
     Stops early once ``target`` (if >= 0) has been assigned a parent and its
@@ -188,13 +106,6 @@ def bfs_tree(states, codes, g, p: int, q: int, start: int, target: int = -1,
     compat = compat_table(p, q)
     indptr, indices = adjacency_csr(g)
     powv = digit_weights(g.n, p)
-    if selected_backend(backend) == "numba":
-        return _bfs_numba(states, codes, indptr, indices, compat, powv,
-                          np.int64(p), np.int64(start), np.int64(target))
-    return _bfs_numpy(states, codes, indptr, indices, compat, powv, p, start, target)
-
-
-def _bfs_numpy(states, codes, indptr, indices, compat, powv, p, start, target):
     S, n = states.shape
     visited = np.zeros(S, dtype=bool)
     parent = np.full(S, -1, dtype=np.int64)
@@ -239,56 +150,7 @@ def _bfs_numpy(states, codes, indptr, indices, compat, powv, p, start, target):
     return visited, parent
 
 
-@njit(cache=True)
-def _bfs_numba(states, codes, indptr, indices, compat, powv, p, start, target):
-    S, n = states.shape
-    visited = np.zeros(S, dtype=np.bool_)
-    parent = np.full(S, -1, dtype=np.int64)
-    visited[start] = True
-    frontier = np.empty(S, dtype=np.int64)
-    frontier[0] = start
-    fsize = 1
-    nxt = np.empty(S, dtype=np.int64)
-    while fsize > 0:
-        if target >= 0 and visited[target]:
-            break
-        nsize = 0
-        for fi in range(fsize):
-            s = frontier[fi]
-            code = codes[s]
-            for v in range(n):
-                digit = states[s, v]
-                for c in range(p):
-                    if c == digit:
-                        continue
-                    good = True
-                    for k in range(indptr[v], indptr[v + 1]):
-                        if not compat[states[s, indices[k]], c]:
-                            good = False
-                            break
-                    if not good:
-                        continue
-                    tcode = code + (c - digit) * powv[v]
-                    lo, hi = 0, S
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if codes[mid] < tcode:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    if lo >= S or codes[lo] != tcode:
-                        raise AssertionError("recolouring produced an unknown state")
-                    if not visited[lo]:
-                        visited[lo] = True
-                        parent[lo] = s
-                        nxt[nsize] = lo
-                        nsize += 1
-        frontier[:nsize] = np.sort(nxt[:nsize])
-        fsize = nsize
-    return visited, parent
-
-
-def component_labels(states, codes, g, p: int, q: int, backend=None) -> np.ndarray:
+def component_labels(states, codes, g, p: int, q: int) -> np.ndarray:
     """Connected-component label per state; component ids are assigned in
     order of each component's lowest state index."""
     S = states.shape[0]
@@ -297,15 +159,14 @@ def component_labels(states, codes, g, p: int, q: int, backend=None) -> np.ndarr
     for i in range(S):
         if labels[i] >= 0:
             continue
-        visited, _ = bfs_tree(states, codes, g, p, q, i, backend=backend)
+        visited, _ = bfs_tree(states, codes, g, p, q, i)
         labels[visited] = comp
         comp += 1
     return labels
 
 
 # ---------------------------------------------------------------------------
-# Vectorized per-colouring cycle-weight sums (shared by both backends; this
-# is already plain array math).
+# Vectorized per-colouring cycle-weight sums.
 
 
 def cycle_weight_sums(states: np.ndarray, p: int, cycle) -> np.ndarray:

@@ -23,8 +23,8 @@ from . import kernels
 from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        enumerate_colourings, require_ratio_open, validate_colouring,
                        walk_weight)
-from .graphs import (Cycle, Graph, bipartition, fundamental_cycle_basis,
-                     is_cycle_of)
+from .graphs import (Cycle, Graph, bfs_forest, bipartition,
+                     fundamental_cycle_basis, is_cycle_of, shortest_cycle)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -110,9 +110,8 @@ def locked_vertices(f: Colouring) -> frozenset:
 # State-space plumbing shared by the oracle operations.
 
 
-def _state_table(g: Graph, params: CircularParams, budget: int, backend=None):
-    states = kernels.enumerate_states(g, params.p, params.q, budget=budget,
-                                      backend=backend)
+def _state_table(g: Graph, params: CircularParams, budget: int):
+    states = kernels.enumerate_states(g, params.p, params.q, budget=budget)
     codes = kernels.state_codes(states, params.p)
     return states, codes
 
@@ -132,19 +131,17 @@ def _colouring_at(states: np.ndarray, i: int, g: Graph,
 
 
 def is_mixing_oracle(g: Graph, params: CircularParams,
-                     budget: int = DEFAULT_STATE_BUDGET,
-                     backend=None) -> MixingVerdict:
+                     budget: int = DEFAULT_STATE_BUDGET) -> MixingVerdict:
     """Exact mixing decision by exhausting the recolouring graph.
 
     A graph with no proper colourings is reported "vacuous", distinct from
     "mixing".  On not-mixing, ``split_pair`` holds the lexicographically
     least state and the least state outside its component.
     """
-    states, codes = _state_table(g, params, budget, backend)
+    states, codes = _state_table(g, params, budget)
     if states.shape[0] == 0:
         return MixingVerdict(status="vacuous", state_count=0)
-    labels = kernels.component_labels(states, codes, g, params.p, params.q,
-                                      backend=backend)
+    labels = kernels.component_labels(states, codes, g, params.p, params.q)
     ncomp = int(labels.max()) + 1
     if ncomp == 1:
         return MixingVerdict(status="mixing", state_count=states.shape[0],
@@ -157,18 +154,17 @@ def is_mixing_oracle(g: Graph, params: CircularParams,
 
 
 def is_reachable_oracle(f: Colouring, g: Colouring,
-                        budget: int = DEFAULT_STATE_BUDGET,
-                        backend=None):
+                        budget: int = DEFAULT_STATE_BUDGET):
     """BFS reachability; returns (flag, path of colourings f..g or None)."""
     _check_same_instance(f, g)
     host = f.host
-    states, codes = _state_table(host, f.params, budget, backend)
+    states, codes = _state_table(host, f.params, budget)
     i = _state_index(codes, host, f)
     j = _state_index(codes, host, g)
     if i == j:
         return True, [f]
     visited, parent = kernels.bfs_tree(states, codes, host, f.params.p,
-                                       f.params.q, i, target=j, backend=backend)
+                                       f.params.q, i, target=j)
     if not visited[j]:
         return False, None
     idx_path = [j]
@@ -336,8 +332,7 @@ def _walk_to_core(arcs: dict, core: set, v: int) -> list:
 
 
 def fixed_vertices(f: Colouring, method: str = "tight-digraph",
-                   budget: int = DEFAULT_STATE_BUDGET,
-                   backend=None) -> FixedSetReport:
+                   budget: int = DEFAULT_STATE_BUDGET) -> FixedSetReport:
     """Vertices whose colour is constant over everything reachable from f.
 
     "oracle" walks f's whole component (exact by construction).
@@ -348,10 +343,10 @@ def fixed_vertices(f: Colouring, method: str = "tight-digraph",
     if not proper:
         raise ValueError(f"colouring is improper on edge {bad}")
     if method == "oracle":
-        states, codes = _state_table(f.host, f.params, budget, backend)
+        states, codes = _state_table(f.host, f.params, budget)
         i = _state_index(codes, f.host, f)
         visited, _ = kernels.bfs_tree(states, codes, f.host, f.params.p,
-                                      f.params.q, i, backend=backend)
+                                      f.params.q, i)
         comp = states[visited]
         constant = np.all(comp == comp[0], axis=0)
         fixed = frozenset(int(v) for v in np.nonzero(constant)[0])
@@ -366,28 +361,6 @@ def fixed_vertices(f: Colouring, method: str = "tight-digraph",
 
 # ---------------------------------------------------------------------------
 # Reachability by characterization.
-
-
-def _bfs_forest(g: Graph):
-    """Deterministic BFS forest: (parent, component root) per vertex."""
-    parent = [-1] * g.n
-    root = [-1] * g.n
-    order = []
-    for s in range(g.n):
-        if root[s] != -1:
-            continue
-        root[s] = s
-        queue = deque([s])
-        order.append(s)
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if root[v] == -1:
-                    root[v] = s
-                    parent[v] = u
-                    queue.append(v)
-                    order.append(v)
-    return parent, root, order
 
 
 def reachability_signature(f: Colouring, basis=None):
@@ -409,11 +382,13 @@ def reachability_signature(f: Colouring, basis=None):
     cycle_weights = tuple(
         sum(edge_weight(f, a, b) for a, b in c.directed_edges())
         for c in basis.fundamental)
-    parent, root, order = _bfs_forest(g)
+    parent, _, order = bfs_forest(g, range(g.n))
     phi = [0] * g.n
+    root = list(range(g.n))
     for v in order:
         if parent[v] != -1:
             phi[v] = phi[parent[v]] + edge_weight(f, parent[v], v)
+            root[v] = root[parent[v]]
     anchor = {}
     for v in sorted(fixed):
         anchor.setdefault(root[v], v)
@@ -484,45 +459,8 @@ def _make_witness(f: Colouring, vertices: tuple) -> NonMixingWitness:
                             required=required)
 
 
-def _shortest_odd_cycle(g: Graph) -> tuple:
-    best = None
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] + 1 >= len(best):
-                break
-            for v in g.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v and dist[v] == dist[u]:
-                    pu, pv = [u], [v]
-                    while pu[-1] != -1:
-                        pu.append(parent[pu[-1]])
-                    while pv[-1] != -1:
-                        pv.append(parent[pv[-1]])
-                    pu, pv = pu[:-1], pv[:-1]
-                    common = set(pu) & set(pv)
-                    iu = next(i for i, x in enumerate(pu) if x in common)
-                    iv = next(i for i, x in enumerate(pv) if x in common)
-                    vs = pu[: iu + 1] + list(reversed(pv[:iv]))
-                    if len(vs) % 2 == 1 and len(set(vs)) == len(vs):
-                        if best is None or len(vs) < len(best):
-                            best = vs
-        if best is not None and len(best) == 3:
-            break
-    if best is None:
-        raise AssertionError("graph claimed non-bipartite but no odd cycle found")
-    return tuple(best)
-
-
 def is_mixing_wind(g: Graph, params: CircularParams,
-                   budget: int = DEFAULT_STATE_BUDGET,
-                   backend=None) -> MixingVerdict:
+                   budget: int = DEFAULT_STATE_BUDGET) -> MixingVerdict:
     """Mixing via the cycle-wind characterization (2 < p/q < 4).
 
     Scans every proper colouring; any fundamental cycle whose weight misses
@@ -537,9 +475,12 @@ def is_mixing_wind(g: Graph, params: CircularParams,
         f0 = next(enumerate_colourings(g, params), None)
         if f0 is None:
             return MixingVerdict(status="vacuous", state_count=0)
-        witness = _make_witness(f0, _shortest_odd_cycle(g))
+        odd = shortest_cycle(g, odd=True)
+        if odd is None:
+            raise AssertionError("graph claimed non-bipartite but no odd cycle found")
+        witness = _make_witness(f0, odd)
         return MixingVerdict(status="not-mixing", witness=witness)
-    states, codes = _state_table(g, params, budget, backend)
+    states, codes = _state_table(g, params, budget)
     if states.shape[0] == 0:
         return MixingVerdict(status="vacuous", state_count=0)
     basis = fundamental_cycle_basis(g)

@@ -185,5 +185,35 @@ def python_mixing_components(g: Graph, params: CircularParams):
     return states, labels
 
 
+def python_bfs_tree(g: Graph, params: CircularParams, start: int):
+    """Level-synchronous BFS over the recolouring graph, in pure Python.
+
+    Frontiers are scanned in ascending state index, so a state's parent is
+    its lowest-index discoverer in the previous level.  Returns (visited,
+    parent) lists over the lexicographic state order; parent is -1 at the
+    start and at unreached states.
+    """
+    from circmix.circular import enumerate_colourings
+    from circmix.reconfig import col_neighbours
+
+    states = list(enumerate_colourings(g, params))
+    index = {f.colours: i for i, f in enumerate(states)}
+    visited = [False] * len(states)
+    parent = [-1] * len(states)
+    visited[start] = True
+    frontier = [start]
+    while frontier:
+        found = []
+        for i in frontier:
+            for nb in col_neighbours(states[i]):
+                k = index[nb.colours]
+                if not visited[k]:
+                    visited[k] = True
+                    parent[k] = i
+                    found.append(k)
+        frontier = sorted(found)
+    return visited, parent
+
+
 def colouring(g: Graph, params: CircularParams, colours) -> Colouring:
     return Colouring(params=params, colours=tuple(colours), host=g)

@@ -278,3 +278,54 @@ class TestMethodAgreement:
                                     "--method", method)
                 codes[method] = code
             assert set(codes.values()) == {expected}, codes
+
+
+class TestGoldenOutput:
+    """Exact stdout and certificate bytes pinned from a known-good build.
+
+    Kernel and graph-search changes must keep every deterministic choice:
+    the least unbalanced colouring, the shortest odd cycle, the girth cycle
+    behind a retraction, and the fold-closure visiting order.
+    """
+
+    C10_WITNESS = ("witness\ngraph: c10.txt\np: 5\nq: 2\ncolouring:\n"
+                   "0=0\n1=2\n2=4\n3=1\n4=3\n5=0\n6=2\n7=4\n8=1\n9=3\nend\n"
+                   "cycle: 0 1 2 3 4 5 6 7 8 9\nweight: 20\nrequired: 25\n")
+    C7_WITNESS = ("witness\ngraph: c7.txt\np: 5\nq: 2\ncolouring:\n"
+                  "0=0\n1=2\n2=0\n3=2\n4=4\n5=1\n6=3\nend\n"
+                  "cycle: 0 1 2 3 4 5 6\nweight: 15\nrequired: 35/2\n")
+    # theta(2,3,3) has two shortest odd cycles; the BFS order picks 0 2 1 4 3
+    THETA_WITNESS = ("witness\ngraph: theta.txt\np: 5\nq: 2\ncolouring:\n"
+                     "0=0\n1=1\n2=3\n3=2\n4=4\n5=2\n6=4\nend\n"
+                     "cycle: 0 2 1 4 3\nweight: 15\nrequired: 25/2\n")
+    C10_TRACE = ("fold-trace\ngraph: c10.txt\ncomponent: 0 1 2 3 4 5 6 7 8 9\n"
+                 "target: 6\nfold 0 2\nfold 1 2\nfold 0 2\nfold 1 2\nfinal:\n"
+                 "0 1\n0 5\n1 2\n2 3\n3 4\n4 5\nend\n")
+    FIGURE1_SEARCH = ("folds to C_8 in 6 step(s)\nfold-trace\ngraph: fig1.txt\n"
+                      "target: 8\nfold 0 2\nfold 0 5\nfold 2 4\nfold 2 5\n"
+                      "fold 1 2\nfold 1 3\nfinal:\n0 1\n0 3\n1 2\n2 7\n3 4\n"
+                      "4 5\n5 6\n6 7\nend\n")
+
+    def test_pinned_outputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # certificates record the graph path
+        for args in (("cycle", "10", "--out", "c10.txt"),
+                     ("cycle", "7", "--out", "c7.txt"),
+                     ("theta", "2", "3", "3", "--out", "theta.txt"),
+                     ("figure1", "--out", "fig1.txt")):
+            assert run(capsys, "gen", *args)[0] == 0
+        cases = [
+            (("mix", "c10.txt", "-p", "5", "-q", "2", "--method", "wind",
+              "--certificate", "c10.wit"), "c10.wit", self.C10_WITNESS),
+            (("mix", "c7.txt", "-p", "5", "-q", "2", "--method", "wind",
+              "--certificate", "c7.wit"), "c7.wit", self.C7_WITNESS),
+            (("mix", "theta.txt", "-p", "5", "-q", "2", "--method", "wind",
+              "--certificate", "theta.wit"), "theta.wit", self.THETA_WITNESS),
+            (("mix", "c10.txt", "-p", "3", "-q", "1", "--method", "fold",
+              "--certificate", "c10.trace"), "c10.trace", self.C10_TRACE),
+        ]
+        for argv, cert, expected in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, f"NOT-MIXING\ncertificate: {cert}\n", "")
+            assert (tmp_path / cert).read_bytes() == expected.encode()
+        code, out, err = run(capsys, "fold-search", "fig1.txt", "-L", "8")
+        assert (code, out, err) == (0, self.FIGURE1_SEARCH, "")

@@ -7,7 +7,8 @@ import support
 from circmix.graphs import (Cycle, SizeGuardError, bipartition, blocks, build_graph,
                             canonical_key, connected_components, distance,
                             enumerate_cycles, fundamental_cycle_basis, girth_cycle,
-                            has_cycle_of_length_at_least, longest_cycle_length)
+                            has_cycle_of_length_at_least, is_cycle_of,
+                            longest_cycle_length, shortest_cycle)
 
 
 class TestBuildGraph:
@@ -199,6 +200,32 @@ class TestCycleHelpers:
         assert longest_cycle_length(support.path(4)) == 0
         assert has_cycle_of_length_at_least(g, 6)
         assert not has_cycle_of_length_at_least(g, 7)
+
+    def test_searches_match_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            n = rng.randint(0, 7)
+            density = rng.choice((0.25, 0.45, 0.7))
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+            lengths = [len(c) for c in support.brute_cycle_sets(g, n)]
+            odd_lengths = [k for k in lengths if k % 2]
+            girth = girth_cycle(g)
+            if lengths:
+                assert len(girth) == min(lengths)
+                assert is_cycle_of(g, girth.vertices)
+            else:
+                assert girth is None
+            odd = shortest_cycle(g, odd=True)
+            if odd_lengths:
+                assert len(odd) == min(odd_lengths)
+                assert is_cycle_of(g, tuple(odd))
+            else:
+                assert odd is None
+            assert longest_cycle_length(g) == max(lengths, default=0)
+            for length in range(n + 2):
+                assert has_cycle_of_length_at_least(g, length) == (
+                    length == 0 or any(k >= length for k in lengths))
 
 
 class TestCanonicalKey:

@@ -5,10 +5,7 @@ import support
 from circmix import kernels
 from circmix.circular import CircularParams, enumerate_colourings
 from circmix.kernels import (BudgetExceededError, bfs_tree, component_labels,
-                             compat_table, enumerate_states, selected_backend,
-                             state_codes)
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+                             compat_table, enumerate_states, state_codes)
 
 CASES = [
     (support.cycle(6), 7, 2),
@@ -20,12 +17,6 @@ CASES = [
     (support.complete_bipartite(2, 3), 6, 2),
     (support.star(3), 4, 2),
 ]
-
-
-def test_backend_selection():
-    assert selected_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        selected_backend("fortran")
 
 
 def test_compat_table_matches_rule():
@@ -40,57 +31,47 @@ def test_compat_table_matches_rule():
 def test_enumeration_matches_python_generator(g, p, q):
     # Dual route: the lazy pure-Python enumerator against the array kernels.
     expected = [f.colours for f in enumerate_colourings(g, CircularParams(p, q))]
-    for backend in BACKENDS:
-        states = enumerate_states(g, p, q, backend=backend)
-        got = [tuple(int(x) for x in row) for row in states]
-        assert got == expected
+    states = enumerate_states(g, p, q)
+    got = [tuple(int(x) for x in row) for row in states]
+    assert got == expected
 
 
 @pytest.mark.parametrize("g,p,q", CASES)
-def test_backends_identical(g, p, q):
-    if len(BACKENDS) < 2:
-        pytest.skip("numba unavailable")
-    a = enumerate_states(g, p, q, backend="numpy")
-    b = enumerate_states(g, p, q, backend="numba")
-    assert np.array_equal(a, b)
-    if a.shape[0] == 0:
+def test_bfs_tree_matches_python_reference(g, p, q):
+    # Same parent tree as a pure-Python BFS in which a state's parent is its
+    # lowest-index discoverer; reachability paths depend on that rule.
+    states = enumerate_states(g, p, q)
+    if states.shape[0] == 0:
         return
-    codes = state_codes(a, p)
-    assert np.all(np.diff(codes) > 0)  # lexicographic == strictly ascending
-    la = component_labels(a, codes, g, p, q, backend="numpy")
-    lb = component_labels(b, codes, g, p, q, backend="numba")
-    assert np.array_equal(la, lb)
-    for start in (0, a.shape[0] // 2):
-        va, pa = bfs_tree(a, codes, g, p, q, start, backend="numpy")
-        vb, pb = bfs_tree(b, codes, g, p, q, start, backend="numba")
-        assert np.array_equal(va, vb)
-        assert np.array_equal(pa, pb)
+    codes = state_codes(states, p)
+    for start in (0, states.shape[0] // 2):
+        visited, parent = bfs_tree(states, codes, g, p, q, start)
+        ref_visited, ref_parent = support.python_bfs_tree(
+            g, CircularParams(p, q), start)
+        assert visited.tolist() == ref_visited
+        assert parent.tolist() == ref_parent
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_component_labels_match_pure_python(backend):
+def test_component_labels_match_pure_python():
     for g, p, q in CASES:
         params = CircularParams(p, q)
         states, labels = support.python_mixing_components(g, params)
-        arr = enumerate_states(g, p, q, backend=backend)
+        arr = enumerate_states(g, p, q)
         assert arr.shape[0] == len(states)
         if not states:
             continue
         codes = state_codes(arr, p)
-        ours = component_labels(arr, codes, g, p, q, backend=backend)
-        # same partition, possibly different numbering
-        assert len(set(labels)) == int(ours.max()) + 1
-        pairing = {}
-        for i, lab in enumerate(labels):
-            assert pairing.setdefault(lab, int(ours[i])) == int(ours[i])
+        assert np.all(np.diff(codes) > 0)  # lexicographic == strictly ascending
+        # same partition and same numbering: ids follow each component's
+        # lowest state index
+        assert component_labels(arr, codes, g, p, q).tolist() == labels
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parent_tree_is_single_move_tree(backend):
+def test_parent_tree_is_single_move_tree():
     g, p, q = support.cycle(6), 5, 2
-    states = enumerate_states(g, p, q, backend=backend)
+    states = enumerate_states(g, p, q)
     codes = state_codes(states, p)
-    visited, parent = bfs_tree(states, codes, g, p, q, 0, backend=backend)
+    visited, parent = bfs_tree(states, codes, g, p, q, 0)
     for i in range(states.shape[0]):
         if not visited[i]:
             assert parent[i] == -1
@@ -108,10 +89,7 @@ def test_parent_tree_is_single_move_tree(backend):
 def test_budget_exceeded():
     g = support.path(6)
     with pytest.raises(BudgetExceededError):
-        enumerate_states(g, 7, 2, budget=50, backend="numpy")
-    if kernels.HAVE_NUMBA:
-        with pytest.raises(BudgetExceededError):
-            enumerate_states(g, 7, 2, budget=50, backend="numba")
+        enumerate_states(g, 7, 2, budget=50)
 
 
 def test_code_overflow_guard():
@@ -124,7 +102,7 @@ def test_first_unbalanced_state():
     from circmix.graphs import fundamental_cycle_basis
 
     g, p, q = support.cycle(10), 5, 2
-    states = enumerate_states(g, p, q, backend="numpy")
+    states = enumerate_states(g, p, q)
     basis = fundamental_cycle_basis(g).fundamental
     hit = kernels.first_unbalanced_state(states, p, basis, chunk=64)
     assert hit is not None
@@ -135,19 +113,9 @@ def test_first_unbalanced_state():
     assert kernels.cycle_weight_sums(states[idx:idx + 1], p, basis[0])[0] != 25
 
     g8 = support.cycle(8)
-    states8 = enumerate_states(g8, p, q, backend="numpy")
+    states8 = enumerate_states(g8, p, q)
     basis8 = fundamental_cycle_basis(g8).fundamental
     assert kernels.first_unbalanced_state(states8, p, basis8) is None
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("CIRCMIX_BACKEND", "numpy")
-    assert selected_backend() == "numpy"
-    monkeypatch.setenv("CIRCMIX_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        selected_backend()
-    monkeypatch.delenv("CIRCMIX_BACKEND")
-    assert selected_backend() in ("numba", "numpy")
 
 
 def test_edgeless_graphs():
@@ -156,8 +124,7 @@ def test_edgeless_graphs():
     from circmix.reconfig import is_mixing_oracle
 
     g = build_graph(3, [])
-    for backend in BACKENDS:
-        states = enumerate_states(g, 3, 1, backend=backend)
-        assert states.shape == (27, 3)
+    states = enumerate_states(g, 3, 1)
+    assert states.shape == (27, 3)
     # isolated vertices recolour freely, so edgeless graphs always mix
     assert is_mixing_oracle(g, CircularParams(3, 1)).status == "mixing"
