@@ -233,7 +233,9 @@ def build_parser() -> _Parser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                       help="cap on enumerated colouring states")
+                       help="cap on enumerated colouring states (the wind "
+                       "method counts only those with the least vertex of each "
+                       "component at colour 0)")
 
     p_mix = sub.add_parser("mix", help="decide whether a graph mixes at (p,q)")
     p_mix.add_argument("graph")

@@ -2,9 +2,14 @@
 
 States are colour vectors packed into int16 rows; a state's code is its
 mixed-radix value with vertex 0 as the most significant digit, so ascending
-codes equal lexicographic order.  The kernels are plain numpy.  BFS parent
-trees are deterministic (a state's parent is its lowest-index discoverer in
-the previous level), and the tests hold them to a pure-Python reference.
+codes equal lexicographic order.  ``state_blocks`` is the one enumerator: it
+streams states in lexicographic blocks and can pin vertices to colour 0.
+The wind scan pins the least vertex of each component: shifting a
+component's colours keeps every cycle weight and changes no earlier vertex,
+so the least unbalanced colouring is pinned.  The kernels are plain numpy.
+BFS parent trees are deterministic (a state's parent is its lowest-index
+discoverer in the previous level), and the tests hold them to a pure-Python
+reference.
 
 ``python3 perfbench/run.py`` times them end to end and per layer.
 """
@@ -61,32 +66,66 @@ def state_codes(states: np.ndarray, p: int) -> np.ndarray:
 # Proper-state enumeration (lexicographic).
 
 
+def state_blocks(g, p: int, q: int, pinned=(),
+                 budget: int = DEFAULT_STATE_BUDGET, block: int = 1 << 16):
+    """Yield the proper colour vectors of g at (p,q) in lexicographic order,
+    as int16 blocks of shape (k, n) with 1 <= k <= ``block``.
+
+    Vertices in ``pinned`` take colour 0 only.  Prefixes are extended one
+    vertex at a time, depth first over slices whose extensions fit in one
+    block, so memory stays near n blocks whatever the state count.  The
+    running count of rows made at each vertex is checked against ``budget``
+    before those rows are built.
+    """
+    n = g.n
+    if n == 0:
+        yield np.zeros((1, 0), dtype=np.int16)
+        return
+    digit_weights(n, p)  # reject instances whose codes would overflow
+    compat = compat_table(p, q)
+    indptr, indices = adjacency_csr(g)
+    earlier = [[u for u in indices[indptr[v]:indptr[v + 1]] if u < v]
+               for v in range(n)]
+    domain = np.ones((n, p), dtype=bool)
+    domain[list(pinned), 1:] = False
+    made = [0] * n
+
+    def extend(states, v):
+        if v == n:
+            yield states
+            return
+        ok = np.repeat(domain[v:v + 1], states.shape[0], axis=0)
+        for u in earlier[v]:
+            ok &= compat[states[:, u], :]
+        ends = np.cumsum(np.count_nonzero(ok, axis=1))
+        lo = 0
+        while lo < states.shape[0]:
+            base = int(ends[lo - 1]) if lo else 0
+            hi = max(int(np.searchsorted(ends, base + block, side="right")), lo + 1)
+            count = int(ends[hi - 1]) - base
+            made[v] += count
+            if made[v] > budget:
+                what = ("proper states" if v == n - 1
+                        else f"partial states at vertex {v}")
+                raise BudgetExceededError(f"more than {budget} {what}")
+            if count:
+                rows, cols = np.nonzero(ok[lo:hi])  # row-major: lexicographic
+                child = np.concatenate(
+                    [states[lo + rows], cols.astype(np.int16).reshape(-1, 1)], axis=1)
+                del rows, cols  # not held while deeper levels run
+                yield from extend(child, v + 1)
+            lo = hi
+
+    yield from extend(np.zeros((1, 0), dtype=np.int16), 0)
+
+
 def enumerate_states(g, p: int, q: int,
                      budget: int = DEFAULT_STATE_BUDGET) -> np.ndarray:
     """All proper colour vectors of g at (p,q), lexicographic, shape (S, n)."""
-    if g.n == 0:
-        return np.zeros((1, 0), dtype=np.int16)
-    digit_weights(g.n, p)  # reject instances whose codes would overflow
-    compat = compat_table(p, q)
-    indptr, indices = adjacency_csr(g)
-    n = g.n
-    states = np.arange(p, dtype=np.int16).reshape(p, 1)
-    for v in range(1, n):
-        if states.shape[0] == 0:
-            return np.zeros((0, n), dtype=np.int16)
-        earlier = [u for u in indices[indptr[v]:indptr[v + 1]] if u < v]
-        ok = np.ones((states.shape[0], p), dtype=bool)
-        for u in earlier:
-            ok &= compat[states[:, u], :]
-        rows, cols = np.nonzero(ok)  # row-major: preserves lexicographic order
-        if rows.shape[0] > budget:
-            raise BudgetExceededError(
-                f"more than {budget} partial states at vertex {v}")
-        states = np.concatenate(
-            [states[rows], cols.astype(np.int16).reshape(-1, 1)], axis=1)
-    if states.shape[0] > budget:
-        raise BudgetExceededError(f"more than {budget} proper states")
-    return states
+    blocks = list(state_blocks(g, p, q, budget=budget))
+    if not blocks:
+        return np.zeros((0, g.n), dtype=np.int16)
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

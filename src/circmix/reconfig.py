@@ -23,7 +23,7 @@ from . import kernels
 from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        enumerate_colourings, require_ratio_open, validate_colouring,
                        walk_weight)
-from .graphs import (Cycle, Graph, bfs_forest, bipartition,
+from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components,
                      fundamental_cycle_basis, is_cycle_of, shortest_cycle)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 
@@ -53,7 +53,9 @@ class NonMixingWitness:
 @dataclass(frozen=True)
 class MixingVerdict:
     status: str  # "mixing" | "not-mixing" | "vacuous"
-    state_count: Optional[int] = None  # None when the scan short-circuited
+    # Proper colourings; None when not counted: a wind NO verdict stops at
+    # the first wrapped colouring, and fold and planar verdicts count none.
+    state_count: Optional[int] = None
     component_count: Optional[int] = None
     witness: Optional[NonMixingWitness] = None
     split_pair: Optional[tuple] = None  # two Colourings in distinct components
@@ -463,11 +465,18 @@ def is_mixing_wind(g: Graph, params: CircularParams,
                    budget: int = DEFAULT_STATE_BUDGET) -> MixingVerdict:
     """Mixing via the cycle-wind characterization (2 < p/q < 4).
 
-    Scans every proper colouring; any fundamental cycle whose weight misses
+    Scans proper colourings; any fundamental cycle whose weight misses
     (|E|/2)*p yields a wrapped cycle, shrunk across chords into a concise
     witness.  Non-bipartite colourable inputs short-circuit through an odd
     cycle, which is always wrapped.  The reported witness is deterministic:
     lexicographically least colouring, then shortest unbalanced basis cycle.
+
+    Only colourings giving the least vertex of each component colour 0 are
+    scanned, block by block, and the scan stops at the first unbalanced
+    one: shifting a component's colours keeps every cycle weight and moves
+    its least vertex to 0 without changing any earlier position, so the
+    least unbalanced colouring is among them.  ``budget`` caps those
+    pinned states.
     """
     require_ratio_open(params)
     bip = bipartition(g)
@@ -480,22 +489,24 @@ def is_mixing_wind(g: Graph, params: CircularParams,
             raise AssertionError("graph claimed non-bipartite but no odd cycle found")
         witness = _make_witness(f0, odd)
         return MixingVerdict(status="not-mixing", witness=witness)
-    states, codes = _state_table(g, params, budget)
-    if states.shape[0] == 0:
+    roots = [c[0] for c in connected_components(g)]
+    cycles = fundamental_cycle_basis(g).fundamental
+    pinned_count = 0
+    for block in kernels.state_blocks(g, params.p, params.q, pinned=roots,
+                                      budget=budget):
+        hit = kernels.first_unbalanced_state(block, params.p, cycles)
+        if hit is not None:
+            idx, cyc_positions = hit
+            f = _colouring_at(block, idx, g, params)
+            unbalanced = [cycles[j] for j in cyc_positions]
+            unbalanced.sort(key=lambda c: (len(c), c.vertices))
+            witness = _make_witness(f, unbalanced[0].vertices)
+            return MixingVerdict(status="not-mixing", witness=witness)
+        pinned_count += block.shape[0]
+    if pinned_count == 0:
         return MixingVerdict(status="vacuous", state_count=0)
-    basis = fundamental_cycle_basis(g)
-    if not basis.fundamental:
-        return MixingVerdict(status="mixing", state_count=states.shape[0])
-    hit = kernels.first_unbalanced_state(states, params.p, basis.fundamental)
-    if hit is None:
-        return MixingVerdict(status="mixing", state_count=states.shape[0])
-    idx, cyc_positions = hit
-    f = _colouring_at(states, idx, g, params)
-    unbalanced = [basis.fundamental[j] for j in cyc_positions]
-    unbalanced.sort(key=lambda c: (len(c), c.vertices))
-    witness = _make_witness(f, unbalanced[0].vertices)
-    return MixingVerdict(status="not-mixing", state_count=states.shape[0],
-                         witness=witness)
+    return MixingVerdict(status="mixing",
+                         state_count=pinned_count * params.p ** len(roots))
 
 
 def verify_witness(w: NonMixingWitness):

@@ -8,8 +8,11 @@ vectors) so they can serve as independent cross-checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
+
+import numpy as np
 
 from circmix.circular import CircularParams, Colouring
 from circmix.graphs import Graph, build_graph, canonical_key, is_connected
@@ -135,16 +138,30 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _relabel_table(n: int):
+    """(n!, n(n-1)/2) table: row = permutation, column k = the index of the
+    pair (perm[i], perm[j]) for the k-th pair i < j; plus big-endian bit
+    weights over the pair positions."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    table = np.array([[index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
+                      for perm in itertools.permutations(range(n))],
+                     dtype=np.intp).reshape(math.factorial(n), len(pairs))
+    weights = 1 << np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    return pairs, table, weights
+
+
 def brute_min_label_key(g: Graph) -> tuple:
-    """Minimum adjacency bit-tuple over all vertex permutations."""
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        bits = tuple(
-            1 if g.has_edge(perm[i], perm[j]) else 0
-            for i in range(g.n) for j in range(i + 1, g.n))
-        if best is None or bits < best:
-            best = bits
-    return best
+    """Minimum adjacency bit-tuple over all vertex permutations.
+
+    Every permuted bit row is packed big-endian into one int; fixed-width
+    packing keeps lexicographic order, so the least int is the least row.
+    """
+    pairs, table, weights = _relabel_table(g.n)
+    bits = np.array([g.has_edge(i, j) for i, j in pairs], dtype=np.int64)
+    best = int((bits[table] @ weights).min())
+    return tuple((best >> (len(pairs) - 1 - k)) & 1 for k in range(len(pairs)))
 
 
 def brute_colouring_count(g: Graph, params: CircularParams) -> int:

@@ -204,6 +204,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 4
 
+    @pytest.mark.parametrize("length", [12, 14])
+    def test_wind_decides_past_full_table_budget(self, tmp_path, capsys, length):
+        # C12 has 16.8M (7,2)-colourings, above the default budget; the
+        # wind scan stops at its first wrapped pinned colouring instead
+        graph = write_graph(tmp_path, support.cycle(length), "c.txt")
+        cert = str(tmp_path / "c.wit")
+        code, out, err = run(capsys, "mix", graph, "-p", "7", "-q", "2",
+                             "--method", "wind", "--certificate", cert)
+        assert (code, out, err) == (1, f"NOT-MIXING\ncertificate: {cert}\n", "")
+        assert run(capsys, "verify", cert)[:2] == (0, "PASS\n")
+
 
 class TestOtherCommands:
     def test_fold_search(self, tmp_path, capsys):

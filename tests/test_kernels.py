@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,36 @@ def test_budget_exceeded():
     g = support.path(6)
     with pytest.raises(BudgetExceededError):
         enumerate_states(g, 7, 2, budget=50)
+
+
+@pytest.mark.parametrize("n,budget,bound", [
+    (12, 1000, 10 * 2**20),
+    # may return 2M rows of 14 int16 (56 MB); building the 7.3M partial
+    # rows at vertex 10 before checking would take over 180 MB
+    (14, 2_000_000, 2_000_000 * 14 * 2 + 24 * 2**20),
+])
+def test_budget_checked_before_allocation(n, budget, bound):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"more than {budget} "):
+            enumerate_states(support.path(n), 7, 2, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+@pytest.mark.parametrize("g,p,q", CASES)
+def test_blocks_are_the_pinned_state_table(g, p, q):
+    # blocks of 7 rows split prefixes mid-level; order and rows must hold
+    states = enumerate_states(g, p, q)
+    for pinned in ([], [0], [0, g.n - 1]):
+        want = states[np.all(states[:, pinned] == 0, axis=1)]
+        for block in (7, 1 << 16):
+            blocks = list(kernels.state_blocks(g, p, q, pinned=pinned, block=block))
+            assert all(1 <= b.shape[0] <= block for b in blocks)
+            got = np.concatenate(blocks) if blocks else states[:0]
+            assert np.array_equal(got, want)
 
 
 def test_code_overflow_guard():

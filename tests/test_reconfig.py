@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,8 @@ from circmix.circular import (CircularParams, Colouring, edge_weight,
                               enumerate_colourings, shift, validate_colouring)
 from circmix.graphs import Cycle, build_graph, enumerate_cycles, fundamental_cycle_basis
 from circmix.kernels import BudgetExceededError
-from circmix.reconfig import (NonMixingWitness, col_neighbours, fixed_vertices,
-                              is_mixing_oracle, is_mixing_wind,
+from circmix.reconfig import (NonMixingWitness, _make_witness, col_neighbours,
+                              fixed_vertices, is_mixing_oracle, is_mixing_wind,
                               is_reachable_characterized, is_reachable_oracle,
                               locked_vertices, verify_witness)
 
@@ -19,6 +21,7 @@ P31 = CircularParams(3, 1)
 P52 = CircularParams(5, 2)
 P72 = CircularParams(7, 2)
 P73 = CircularParams(7, 3)
+P83 = CircularParams(8, 3)
 
 
 def brute_single_moves(f):
@@ -330,6 +333,92 @@ class TestWindDecider:
                 for g in support.connected_bipartite_upto_iso(n):
                     assert (is_mixing_wind(g, params).status
                             == is_mixing_oracle(g, params).status)
+
+
+def random_bipartite(rng):
+    """Seeded bipartite graph on at most 8 vertices, often with a planted
+    6- or 8-cycle (the shortest even cycles that fail to mix at (7,2) and
+    (8,3)); low densities leave isolated vertices and several components."""
+    n = rng.choice((1, 2, 3, 4, 5, 6, 6, 7, 7, 8, 8, 8))
+    order = rng.sample(range(n), n)
+    length = rng.choice([k for k in (0, 4, 6, 6, 8, 8, 8) if k <= n])
+    side = {v: i % 2 for i, v in enumerate(order[:length])}
+    side.update((v, rng.randrange(2)) for v in order[length:])
+    edges = {tuple(sorted((order[i], order[(i + 1) % length])))
+             for i in range(length)}
+    density = rng.choice((0.0, 0.1, 0.25))
+    edges |= {(u, v) for u, v in itertools.combinations(range(n), 2)
+              if side[u] != side[v] and rng.random() < density}
+    return build_graph(n, sorted(edges))
+
+
+def reference_wind_scan(g, params, limit):
+    """Walk every colouring in enumerate_colourings order, unpinned, to the
+    first one with an unbalanced fundamental cycle.
+
+    Returns ("not-mixing", colouring, shortest unbalanced basis cycle),
+    ("mixing", None, None), or ("unsettled", the first colouring left
+    unchecked, None) once ``limit`` colourings were all balanced.
+    """
+    basis = fundamental_cycle_basis(g).fundamental
+    if not basis:
+        return "mixing", None, None
+    p = params.p
+    for k, f in enumerate(enumerate_colourings(g, params)):
+        if k == limit:
+            return "unsettled", f, None
+        bad = [c for c in basis
+               if 2 * sum((f.colours[b] - f.colours[a]) % p
+                          for a, b in c.directed_edges()) != len(c) * p]
+        if bad:
+            return "not-mixing", f, min(bad, key=lambda c: (len(c), c.vertices))
+    return "mixing", None, None
+
+
+class TestPinnedWindScan:
+    def test_witness_matches_unpinned_reference(self, monkeypatch):
+        rng = random.Random(31)
+        tiny_blocks = functools.partial(kernels.state_blocks, block=7)
+        settled = wrapped = 0
+        for _ in range(150):
+            g = random_bipartite(rng)
+            for params in (P52, P72, P73, P83):
+                v = is_mixing_wind(g, params)
+                with monkeypatch.context() as m:  # blocks split mid-prefix
+                    m.setattr(kernels, "state_blocks", tiny_blocks)
+                    assert is_mixing_wind(g, params) == v
+                status, f, cycle = reference_wind_scan(g, params, limit=3000)
+                if status == "unsettled":
+                    # every colouring before f is balanced
+                    assert v.status == "mixing" or v.witness.colouring.colours >= f.colours
+                    continue
+                settled += 1
+                assert v.status == status, (g.edges, params)
+                if status == "not-mixing":
+                    wrapped += 1
+                    assert v.witness == _make_witness(f, cycle.vertices)
+                    assert v.state_count is None
+        assert settled >= 450 and wrapped >= 50, (settled, wrapped)
+
+    def test_state_count_matches_oracle(self):
+        cases = [
+            (support.cycle(4), P72), (support.grid(2, 3), P52),
+            (support.complete_bipartite(2, 3), P73),
+            # two components, then three with least vertices 0, 1 and 4
+            (build_graph(6, [(0, 3), (3, 2), (2, 5), (5, 0), (1, 4)]), P72),
+            (build_graph(7, [(1, 3), (3, 5), (5, 6), (6, 1), (0, 2)]), P83),
+            (build_graph(1, []), P52), (build_graph(4, []), P73),
+        ]
+        for g, params in cases:
+            v = is_mixing_wind(g, params)
+            assert v.status == "mixing"
+            assert v.state_count == is_mixing_oracle(g, params).state_count
+
+    def test_budget_counts_pinned_states(self):
+        # 7 * 4**3 = 448 colourings of the 4-path, 64 with vertex 0 pinned
+        assert is_mixing_wind(support.path(4), P72, budget=64).state_count == 448
+        with pytest.raises(BudgetExceededError, match="more than 63 proper states"):
+            is_mixing_wind(support.path(4), P72, budget=63)
 
 
 class TestWitnessSoundness:
