@@ -20,7 +20,7 @@ import sys
 from . import files, fold, planar, reconfig
 from .circular import CircularParams
 from .generators import (c4_pinch_graph, clique_graph, cube_graph, cycle_graph,
-                         grid_graph, pinched_octagon, theta_graph, GeneratedGraph)
+                         grid_graph, pinched_octagon, theta_graph)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 
 EXIT_YES = 0
@@ -49,39 +49,25 @@ def _write(path, text):
             fh.write(text)
 
 
-def _generate(kind: str, kind_args) -> GeneratedGraph:
-    if kind == "cycle":
-        (length,) = kind_args
-        return cycle_graph(int(length))
-    if kind == "clique":
-        p, q = kind_args
-        return clique_graph(CircularParams(int(p), int(q)))
-    if kind == "grid":
-        a, b = kind_args
-        return grid_graph(int(a), int(b))
-    if kind == "figure1":
-        return pinched_octagon()
-    if kind == "cube":
-        return cube_graph()
-    if kind == "theta":
-        a, b, c = kind_args
-        return theta_graph(int(a), int(b), int(c))
-    if kind == "c4-pinch":
-        return c4_pinch_graph()
-    raise ValueError(f"unknown generator {kind!r}")
-
-
-_GEN_ARITY = {"cycle": 1, "clique": 2, "grid": 2, "figure1": 0,
-              "cube": 0, "theta": 3, "c4-pinch": 0}
+# generator name -> (argument count, factory over the integer arguments)
+_GENERATORS = {
+    "cycle": (1, cycle_graph),
+    "clique": (2, lambda p, q: clique_graph(CircularParams(p, q))),
+    "grid": (2, grid_graph),
+    "figure1": (0, pinched_octagon),
+    "cube": (0, cube_graph),
+    "theta": (3, theta_graph),
+    "c4-pinch": (0, c4_pinch_graph),
+}
 
 
 def cmd_gen(args) -> int:
-    if args.kind not in _GEN_ARITY:
+    if args.kind not in _GENERATORS:
         raise ValueError(f"unknown generator {args.kind!r}")
-    if len(args.args) != _GEN_ARITY[args.kind]:
-        raise ValueError(
-            f"generator {args.kind} takes {_GEN_ARITY[args.kind]} argument(s)")
-    gg = _generate(args.kind, args.args)
+    arity, factory = _GENERATORS[args.kind]
+    if len(args.args) != arity:
+        raise ValueError(f"generator {args.kind} takes {arity} argument(s)")
+    gg = factory(*(int(a) for a in args.args))
     doc = files.GraphDocument(graph=gg.graph, rotation=gg.rotation)
     _write(args.out, files.serialize_graph_document(doc, header=gg.name))
     if args.dot:
@@ -115,8 +101,7 @@ def cmd_mix(args) -> int:
     elif args.method == "planar":
         if doc.rotation is None:
             raise ValueError("planar method needs rotation lines in the graph file")
-        verdict, tree = planar.planar_mixing_decider(g, doc.rotation, params,
-                                                     budget=args.budget)
+        verdict, tree = planar.planar_mixing_decider(g, doc.rotation, params)
         explanation = tree
     else:
         raise ValueError(f"unknown method {args.method!r}")
@@ -210,7 +195,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_min_cycle(args) -> int:
     params = _params(args)
-    length = planar.minimal_non_mixing_even_cycle(params, budget=args.budget)
+    length = planar.minimal_non_mixing_even_cycle(params)
     print(length)
     return EXIT_YES
 
@@ -221,7 +206,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a named generator's graph document")
-    p_gen.add_argument("kind", choices=sorted(_GEN_ARITY))
+    p_gen.add_argument("kind", choices=sorted(_GENERATORS))
     p_gen.add_argument("args", nargs="*")
     p_gen.add_argument("--out", default="-")
     p_gen.add_argument("--dot", default=None, help="also write a DOT rendering")
@@ -248,7 +233,8 @@ def build_parser() -> _Parser:
     p_mix.add_argument("--explain", default=None,
                        help="planar method: write the decision tree as JSON")
     p_mix.add_argument("--dot", default=None,
-                       help="export the recolouring graph as DOT (desk scale)")
+                       help="export the recolouring graph as DOT (at most "
+                       "20,000 states, else exit 3)")
     p_mix.set_defaults(func=cmd_mix)
 
     p_reach = sub.add_parser("reach", help="decide recolouring reachability")
@@ -282,7 +268,6 @@ def build_parser() -> _Parser:
     p_min = sub.add_parser("min-cycle",
                            help="minimal even cycle length that fails to mix")
     add_pq(p_min)
-    add_budget(p_min)
     p_min.set_defaults(func=cmd_min_cycle)
 
     return parser

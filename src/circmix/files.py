@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
+from . import kernels
 from .circular import CircularParams, Colouring
 from .fold import FoldTrace, replay_trace
 from .graphs import Cycle, Graph, build_graph, induced_subgraph
@@ -287,6 +290,8 @@ def verify_fold_trace_file(tf: FoldTraceFile, base_dir: str = "."):
 # ---------------------------------------------------------------------------
 # DOT export (output only).
 
+DOT_STATE_CAP = 20_000  # desk scale: larger recolouring graphs are unreadable
+
 
 def graph_to_dot(g: Graph, name: str = "g") -> str:
     lines = [f"graph {name} {{"]
@@ -298,28 +303,31 @@ def graph_to_dot(g: Graph, name: str = "g") -> str:
     return "\n".join(lines) + "\n"
 
 
-def col_graph_to_dot(g: Graph, params: CircularParams,
-                     budget: int = 20_000) -> str:
-    """The recolouring graph itself, nodes labelled by colour vectors."""
-    from .circular import enumerate_colourings
-    from .reconfig import col_neighbours
+def col_graph_to_dot(g: Graph, params: CircularParams) -> str:
+    """The recolouring graph itself, nodes labelled by colour vectors.
 
-    states = []
-    index = {}
-    for f in enumerate_colourings(g, params):
-        index[f.colours] = len(states)
-        states.append(f)
-        if len(states) > budget:
-            raise ValueError(f"recolouring graph exceeds {budget} states; "
-                             "raise the budget to export it")
+    Raises ``BudgetExceededError`` past ``DOT_STATE_CAP`` proper states.
+    """
+    p, q = params.p, params.q
+    blocks, count = [np.zeros((0, g.n), dtype=np.int16)], 0
+    for block in kernels.state_blocks(g, p, q):  # stop at the cap, not after
+        count += block.shape[0]
+        if count > DOT_STATE_CAP:
+            raise kernels.BudgetExceededError(
+                f"more than {DOT_STATE_CAP} proper states")
+        blocks.append(block)
+    states = np.concatenate(blocks)
+    codes = kernels.state_codes(states, p)
+    source, target = kernels.moves(states, codes, g, p, q,
+                                   np.arange(states.shape[0]))
+    order = np.argsort(source, kind="stable")
+    source, target = source[order], target[order]
+    keep = target > source
     lines = ["graph col {"]
-    for i, f in enumerate(states):
-        label = "".join(str(c) for c in f.colours)
+    for i, row in enumerate(states.tolist()):
+        label = "".join(str(c) for c in row)
         lines.append(f'  s{i} [label="{label}"];')
-    for i, f in enumerate(states):
-        for h in col_neighbours(f):
-            j = index[h.colours]
-            if j > i:
-                lines.append(f"  s{i} -- s{j};")
+    for i, j in zip(source[keep].tolist(), target[keep].tolist()):
+        lines.append(f"  s{i} -- s{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -400,7 +400,7 @@ class ThresholdResult:
     tested: tuple  # k values that went through the fold criterion
 
 
-def circular_mixing_threshold(g: Graph, longest_cycle_cap: int = 24,
+def circular_mixing_threshold(g: Graph,
                               memo_budget: int = DEFAULT_MEMO_BUDGET) -> ThresholdResult:
     """Smallest k such that g is C_{2k+1}-mixing (bipartite, connected).
 
@@ -414,7 +414,7 @@ def circular_mixing_threshold(g: Graph, longest_cycle_cap: int = 24,
     if not is_connected(g):
         raise ValueError("threshold expects a connected graph")
     try:
-        longest = longest_cycle_length(g, vertex_cap=longest_cycle_cap)
+        longest = longest_cycle_length(g)
         bound_known = True
     except SizeGuardError:
         longest = None

@@ -306,13 +306,18 @@ def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
     return best
 
 
-def longest_cycle_length(g: Graph, vertex_cap: int = 24) -> int:
+LONGEST_CYCLE_VERTEX_CAP = 24
+
+
+def longest_cycle_length(g: Graph) -> int:
     """Length of a longest simple cycle (0 if acyclic), by exhaustive DFS.
 
-    Intended for desk-scale graphs; refuses graphs above ``vertex_cap``.
+    Intended for desk-scale graphs; refuses graphs above
+    ``LONGEST_CYCLE_VERTEX_CAP`` vertices.
     """
-    if g.n > vertex_cap:
-        raise SizeGuardError(f"longest-cycle search capped at {vertex_cap} vertices")
+    if g.n > LONGEST_CYCLE_VERTEX_CAP:
+        raise SizeGuardError(
+            f"longest-cycle search capped at {LONGEST_CYCLE_VERTEX_CAP} vertices")
     return _longest_cycle(g, 0, g.n)
 
 

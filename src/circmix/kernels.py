@@ -35,12 +35,8 @@ def compat_table(p: int, q: int) -> np.ndarray:
 
 def adjacency_csr(g) -> tuple:
     """Graph adjacency as CSR (indptr, indices), both int32."""
-    indptr = np.zeros(g.n + 1, dtype=np.int32)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + len(g.adjacency[v])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for v in range(g.n):
-        indices[indptr[v]:indptr[v + 1]] = g.adjacency[v]
+    indptr = np.cumsum([0] + [len(a) for a in g.adjacency], dtype=np.int32)
+    indices = np.array([u for a in g.adjacency for u in a], dtype=np.int32)
     return indptr, indices
 
 
@@ -49,12 +45,7 @@ def digit_weights(n: int, p: int) -> np.ndarray:
     if n * np.log2(max(p, 2)) > 62:
         raise BudgetExceededError(
             f"state codes for n={n}, p={p} exceed 63 bits; instance too large")
-    w = np.empty(n, dtype=np.int64)
-    acc = 1
-    for v in range(n - 1, -1, -1):
-        w[v] = acc
-        acc *= p
-    return w
+    return np.int64(p) ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def state_codes(states: np.ndarray, p: int) -> np.ndarray:
@@ -122,30 +113,67 @@ def state_blocks(g, p: int, q: int, pinned=(),
 def enumerate_states(g, p: int, q: int,
                      budget: int = DEFAULT_STATE_BUDGET) -> np.ndarray:
     """All proper colour vectors of g at (p,q), lexicographic, shape (S, n)."""
-    blocks = list(state_blocks(g, p, q, budget=budget))
-    if not blocks:
-        return np.zeros((0, g.n), dtype=np.int16)
-    return np.concatenate(blocks)
+    empty = np.zeros((0, g.n), dtype=np.int16)
+    return np.concatenate([empty, *state_blocks(g, p, q, budget=budget)])
 
 
 # ---------------------------------------------------------------------------
-# BFS over the recolouring graph (states adjacent when they differ at one
-# vertex).  Level-synchronous with sorted frontiers, so the shortest-path
-# tree is deterministic: a state's parent is its lowest-index discoverer in
-# the previous level.
+# The recolouring graph: states are adjacent when they differ at one vertex.
+
+MOVE_CHUNK = 1 << 11  # frontier states per ``moves`` call in the BFS
+
+
+def moves(states, codes, g, p: int, q: int, rows) -> tuple:
+    """Every single-vertex recolouring out of the given state rows.
+
+    Returns (source, target) int64 state indices, ascending by (vertex,
+    colour) and, within one (vertex, colour), in the order of ``rows``.
+    """
+    return _moves(states, codes, _move_tables(g, p, q), rows)
+
+
+def _move_tables(g, p: int, q: int) -> tuple:
+    # built once per BFS, not once per frontier chunk
+    return (compat_table(p, q),) + adjacency_csr(g) + (digit_weights(g.n, p),)
+
+
+def _moves(states, codes, tables, rows) -> tuple:
+    compat, indptr, indices, powv = tables
+    p = compat.shape[0]
+    rows = np.asarray(rows, dtype=np.int64)
+    picked = states[rows]
+    empty = np.zeros(0, dtype=np.int64)
+    sources, targets = [empty], [empty]
+    for v in range(powv.size):
+        ok = np.ones((rows.size, p), dtype=bool)
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            ok &= compat[picked[:, u]]
+        digits = picked[:, v].astype(np.int64)
+        ok[np.arange(rows.size), digits] = False
+        cs, ks = np.nonzero(ok.T)  # colour-major: (colour, row order)
+        tcode = codes[rows[ks]] + (cs - digits[ks]) * powv[v]
+        tidx = np.searchsorted(codes, tcode)
+        if tidx.size and (tidx.max() >= codes.size
+                          or not np.array_equal(codes[tidx], tcode)):
+            raise AssertionError("recolouring produced an unknown state")
+        sources.append(rows[ks])
+        targets.append(tidx)
+    return np.concatenate(sources), np.concatenate(targets)
 
 
 def bfs_tree(states, codes, g, p: int, q: int, start: int,
              target: int = -1) -> tuple:
     """Return (visited bool[S], parent int64[S]) for BFS from ``start``.
 
-    Stops early once ``target`` (if >= 0) has been assigned a parent and its
-    level is complete.  parent[start] == -1.
+    Level-synchronous with sorted frontiers, so the shortest-path tree is
+    deterministic: a state's parent is its lowest-index discoverer in the
+    previous level.  Stops early once ``target`` (if >= 0) has been assigned
+    a parent and its level is complete.  parent[start] == -1.  Moves are
+    listed ``MOVE_CHUNK`` frontier states at a time and only those to
+    unvisited states are kept, so memory follows the next level.
     """
-    compat = compat_table(p, q)
-    indptr, indices = adjacency_csr(g)
-    powv = digit_weights(g.n, p)
-    S, n = states.shape
+    tables = _move_tables(g, p, q)
+    S = states.shape[0]
     visited = np.zeros(S, dtype=bool)
     parent = np.full(S, -1, dtype=np.int64)
     visited[start] = True
@@ -153,31 +181,15 @@ def bfs_tree(states, codes, g, p: int, q: int, start: int,
     while frontier.size:
         if target >= 0 and visited[target]:
             break
-        ts, ss = [], []
-        for v in range(n):
-            nbrs = indices[indptr[v]:indptr[v + 1]]
-            digits = states[frontier, v]
-            for c in range(p):
-                ok = digits != c
-                for u in nbrs:
-                    ok &= compat[states[frontier, u], c]
-                if not ok.any():
-                    continue
-                src = frontier[ok]
-                tcode = codes[src] + (np.int64(c) - digits[ok].astype(np.int64)) * powv[v]
-                tidx = np.searchsorted(codes, tcode)
-                if tidx.size and (tidx.max() >= codes.size
-                                  or not np.array_equal(codes[tidx], tcode)):
-                    raise AssertionError("recolouring produced an unknown state")
-                keep = ~visited[tidx]
-                ts.append(tidx[keep])
-                ss.append(src[keep])
-        if not ts:
-            break
-        t_all = np.concatenate(ts)
+        ss, ts = [], []
+        for lo in range(0, frontier.size, MOVE_CHUNK):
+            src, tgt = _moves(states, codes, tables, frontier[lo:lo + MOVE_CHUNK])
+            keep = ~visited[tgt]
+            ss.append(src[keep])
+            ts.append(tgt[keep])
+        s_all, t_all = np.concatenate(ss), np.concatenate(ts)
         if t_all.size == 0:
             break
-        s_all = np.concatenate(ss)
         order = np.lexsort((s_all, t_all))
         t_all, s_all = t_all[order], s_all[order]
         first = np.ones(t_all.size, dtype=bool)

@@ -6,21 +6,21 @@ they are validated, never computed.  For a 2-connected embedded bipartite
 graph with no short separating cycles, mixing reduces to counting long
 faces; separating 4-cycles are split away first, which is exactly what the
 3 <= p/q < 4 range needs since the minimal non-mixing even cycle there is
-the 6-cycle.
+the 6-cycle.  That threshold comes in closed form from the wind
+characterization (``minimal_non_mixing_even_cycle``); the decider runs no
+colouring enumeration.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
-from .circular import CircularParams
+from .circular import CircularParams, require_ratio_open
 from .graphs import (Cycle, Graph, bipartition, blocks, build_graph,
                      enumerate_cycles, is_connected)
-from .kernels import DEFAULT_STATE_BUDGET
-from .reconfig import MixingVerdict, is_mixing_oracle
+from .reconfig import MixingVerdict
 
 
 class EmbeddingError(ValueError):
@@ -239,30 +239,20 @@ def face_criterion(fs: FaceSet, threshold: int):
     return count, count <= 1
 
 
-@lru_cache(maxsize=None)
-def _minimal_non_mixing_cached(p: int, q: int, budget: int) -> int:
-    params = CircularParams(p, q)
-    bound = p if p % 2 == 0 else 2 * p
-    for length in range(4, bound + 1, 2):
-        cyc = build_graph(length, [(i, (i + 1) % length) for i in range(length)])
-        verdict = is_mixing_oracle(cyc, params, budget=budget)
-        if verdict.status == "not-mixing":
-            return length
-    raise AssertionError(
-        f"no non-mixing even cycle up to {bound} at ({p},{q}); bound violated")
+def minimal_non_mixing_even_cycle(params: CircularParams) -> int:
+    """Smallest even L with C_L not (p,q)-mixing, for 2 < p/q < 4:
+    2 * ceil(p / (p - 2q)).
 
-
-def minimal_non_mixing_even_cycle(params: CircularParams,
-                                  budget: int = DEFAULT_STATE_BUDGET) -> int:
-    """Smallest even L with C_L not (p,q)-mixing, for 2 < p/q < 4.
-
-    Found by running the oracle on C_4, C_6, ...; the scan is bounded by p
-    (p even) or 2p (p odd), where an explicit wound colouring always exists.
+    C_L mixes exactly when every colouring has weight (L/2)*p.  Edge
+    weights lie in [q, p-q] and can be chosen freely around the cycle, and
+    a cycle's weight is a multiple of p, so the weights that occur are the
+    multiples of p in [L*q, L*(p-q)].  A wrapped weight (L/2 - 1)*p (and its
+    reflection (L/2 + 1)*p) is therefore reachable exactly when
+    L*q <= (L/2 - 1)*p, that is L/2 >= p / (p - 2q).
     """
-    from .circular import require_ratio_open
-
     require_ratio_open(params)
-    return _minimal_non_mixing_cached(params.p, params.q, budget)
+    p, q = params.p, params.q
+    return 2 * -(-p // (p - 2 * q))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +282,6 @@ class DecisionNode:
 
 
 def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
-                          budget: int = DEFAULT_STATE_BUDGET,
                           split_chooser=None):
     """Polynomial mixing decision for embedded bipartite planar graphs at
     3 <= p/q < 4.  Returns (MixingVerdict, DecisionNode).
@@ -315,7 +304,7 @@ def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
                          "use the oracle or wind methods for non-bipartite graphs")
     if g.m == 0:
         raise ValueError("planar decider needs at least one edge")
-    threshold = minimal_non_mixing_even_cycle(params, budget=budget)
+    threshold = minimal_non_mixing_even_cycle(params)
     piece = EmbeddedPiece(graph=g, rotation=rot, original_ids=tuple(range(g.n)))
     faces(g, rot)  # validate the embedding up front
     chooser = split_chooser if split_chooser is not None else lambda seps: seps[0]

@@ -118,7 +118,7 @@ def _state_table(g: Graph, params: CircularParams, budget: int):
     return states, codes
 
 
-def _state_index(codes: np.ndarray, g: Graph, f: Colouring) -> int:
+def _state_index(codes: np.ndarray, f: Colouring) -> int:
     code = int(kernels.state_codes(
         np.array([f.colours], dtype=np.int16), f.params.p)[0])
     i = int(np.searchsorted(codes, code))
@@ -161,8 +161,8 @@ def is_reachable_oracle(f: Colouring, g: Colouring,
     _check_same_instance(f, g)
     host = f.host
     states, codes = _state_table(host, f.params, budget)
-    i = _state_index(codes, host, f)
-    j = _state_index(codes, host, g)
+    i = _state_index(codes, f)
+    j = _state_index(codes, g)
     if i == j:
         return True, [f]
     visited, parent = kernels.bfs_tree(states, codes, host, f.params.p,
@@ -346,7 +346,7 @@ def fixed_vertices(f: Colouring, method: str = "tight-digraph",
         raise ValueError(f"colouring is improper on edge {bad}")
     if method == "oracle":
         states, codes = _state_table(f.host, f.params, budget)
-        i = _state_index(codes, f.host, f)
+        i = _state_index(codes, f)
         visited, _ = kernels.bfs_tree(states, codes, f.host, f.params.p,
                                       f.params.q, i)
         comp = states[visited]

@@ -232,5 +232,27 @@ def python_bfs_tree(g: Graph, params: CircularParams, start: int):
     return visited, parent
 
 
+def python_col_graph_dot(g: Graph, params: CircularParams) -> str:
+    """DOT text of the recolouring graph, in pure Python: states in
+    lexicographic order, then each state's moves to later states in
+    (vertex, colour) order."""
+    from circmix.circular import enumerate_colourings
+    from circmix.reconfig import col_neighbours
+
+    states = list(enumerate_colourings(g, params))
+    index = {f.colours: i for i, f in enumerate(states)}
+    lines = ["graph col {"]
+    for i, f in enumerate(states):
+        label = "".join(str(c) for c in f.colours)
+        lines.append(f'  s{i} [label="{label}"];')
+    for i, f in enumerate(states):
+        for h in col_neighbours(f):
+            j = index[h.colours]
+            if j > i:
+                lines.append(f"  s{i} -- s{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def colouring(g: Graph, params: CircularParams, colours) -> Colouring:
     return Colouring(params=params, colours=tuple(colours), host=g)

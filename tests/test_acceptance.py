@@ -159,8 +159,7 @@ def test_criterion_07_planar_decider():
         for params in (P31, P72):
             oracle = is_mixing_oracle(gg.graph, params, budget=budget).status
             for rot in (gg.rotation, mirror_rotation(gg.rotation)):
-                verdict, _ = planar_mixing_decider(gg.graph, rot, params,
-                                                   budget=budget)
+                verdict, _ = planar_mixing_decider(gg.graph, rot, params)
                 assert verdict.status == oracle, (gg.name, params)
     report(7, t0, 1800,
            "planar decider = oracle across the catalogue at (3,1) and (7,2), "

@@ -1,12 +1,16 @@
+import json
 import os
+import random
 
 import pytest
 
 import support
 from circmix import files
+from circmix.circular import CircularParams
 from circmix.cli import main
 from circmix.generators import pinched_octagon
 from circmix.graphs import build_graph
+from circmix.kernels import BudgetExceededError, enumerate_states
 
 
 def run(capsys, *argv):
@@ -134,6 +138,46 @@ class TestMix:
         text = open(dot).read()
         assert text.count("--") == 10  # the 10-state cycle of moves
 
+    def test_dot_matches_python_reference(self):
+        rng = random.Random(5)
+        graphs = []
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            graphs.append(build_graph(n, [(u, v) for u in range(n)
+                                          for v in range(u + 1, n)
+                                          if rng.random() < 0.5]))
+        exported = 0
+        for g in graphs:
+            for p, q in ((3, 1), (4, 2), (5, 2), (7, 3)):
+                params = CircularParams(p, q)
+                if enumerate_states(g, p, q).shape[0] > files.DOT_STATE_CAP:
+                    with pytest.raises(BudgetExceededError):
+                        files.col_graph_to_dot(g, params)
+                    continue
+                expected = support.python_col_graph_dot(g, params)
+                assert files.col_graph_to_dot(g, params) == expected
+                exported += 1
+        assert exported > 350
+
+    def test_dot_cap_counts_proper_states(self):
+        # 21,952 partial states at vertex 5 but 7,392 proper states
+        g = build_graph(7, [(0, 3), (0, 6), (1, 6), (2, 5), (2, 6),
+                            (3, 4), (4, 6), (5, 6)])
+        params = CircularParams(7, 2)
+        text = files.col_graph_to_dot(g, params)
+        assert text.count("[label=") == 7392
+        assert text == support.python_col_graph_dot(g, params)
+
+    def test_dot_over_the_cap(self, tmp_path, capsys):
+        # 7 * 4^6 = 28,672 proper states, over the DOT cap of 20,000
+        p7 = write_graph(tmp_path, support.path(7), "p7.txt")
+        dot = tmp_path / "col.dot"
+        code, out, err = run(capsys, "mix", p7, "-p", "7", "-q", "2",
+                             "--dot", str(dot))
+        assert (code, out) == (3, "MIXING\n")
+        assert err == "budget exceeded: more than 20000 proper states\n"
+        assert not dot.exists()
+
 
 class TestReach:
     def test_oracle_path(self, tmp_path, capsys):
@@ -238,6 +282,16 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "min-cycle", "-p", "5", "-q", "2")
         assert code == 0 and out.strip() == "10"
 
+    def test_min_cycle_past_the_old_oracle_scan(self, capsys):
+        # C_22 at (11,5) has too many states for 63-bit codes; the closed
+        # form needs none
+        assert run(capsys, "min-cycle", "-p", "11", "-q", "5") == (0, "22\n", "")
+
+    def test_min_cycle_has_no_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["min-cycle", "-p", "5", "-q", "2", "--budget", "9"])
+        assert exc.value.code == 4
+
     def test_usage_error_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["mix"])  # missing required arguments
@@ -340,3 +394,71 @@ class TestGoldenOutput:
             assert (tmp_path / cert).read_bytes() == expected.encode()
         code, out, err = run(capsys, "fold-search", "fig1.txt", "-L", "8")
         assert (code, out, err) == (0, self.FIGURE1_SEARCH, "")
+
+    # recolouring graphs as (state labels, "i-j" edges) in DOT order
+    C4_DOT = (
+        "0202 0203 0242 0302 0303 0313 1303 1313 1314 1413 1414 1424 2020 "
+        "2024 2030 2414 2420 2424 3020 3030 3031 3130 3131 3141 4131 4141 "
+        "4142 4202 4241 4242",
+        "0-27 0-3 0-2 0-1 1-4 2-29 3-4 4-6 4-5 5-7 6-7 7-9 7-8 8-10 9-10 "
+        "10-15 10-11 11-17 12-18 12-16 12-14 12-13 13-17 14-19 15-17 16-17 "
+        "18-19 19-21 19-20 20-22 21-22 22-24 22-23 23-25 24-25 25-28 25-26 "
+        "26-29 27-29 28-29")
+    THETA_DOT = (
+        "00111 00112 00121 00122 00211 00212 00221 00222 01222 02111 10222 "
+        "11000 11002 11020 11022 11200 11202 11220 11222 12000 20111 21000 "
+        "22000 22001 22010 22011 22100 22101 22110 22111",
+        "0-20 0-9 0-4 0-2 0-1 1-5 1-3 2-6 2-3 3-7 4-6 4-5 5-7 6-7 7-10 7-8 "
+        "8-18 9-29 10-18 11-21 11-19 11-15 11-13 11-12 12-16 12-14 13-17 "
+        "13-14 14-18 15-17 15-16 16-18 17-18 19-22 20-29 21-22 22-26 22-24 "
+        "22-23 23-27 23-25 24-28 24-25 25-29 26-28 26-27 27-29 28-29")
+    FIGURE1_TREE = {"kind": "faces", "mixing": False,
+                    "detail": {"lengths": [4, 4, 4, 4, 10, 10], "threshold": 6,
+                               "long_faces": 2},
+                    "children": []}
+    PINCH_LEAF = {"kind": "faces", "mixing": True,
+                  "detail": {"lengths": [4, 4, 4], "threshold": 6, "long_faces": 0},
+                  "children": []}
+    PINCH_TREE = {"kind": "split", "mixing": True,
+                  "detail": {"cycle": [0, 1, 2, 3]},
+                  "children": [PINCH_LEAF, PINCH_LEAF]}
+
+    @staticmethod
+    def dot_text(labels, edges):
+        lines = ["graph col {"]
+        lines += [f'  s{i} [label="{x}"];' for i, x in enumerate(labels.split())]
+        lines += ["  s{} -- s{};".format(*e.split("-")) for e in edges.split()]
+        return "\n".join(lines + ["}"]) + "\n"
+
+    def test_pinned_dot_min_cycle_and_explain(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for args in (("cycle", "4", "--out", "c4.txt"),
+                     ("theta", "2", "2", "2", "--out", "theta.txt"),
+                     ("figure1", "--out", "fig1.txt"),
+                     ("c4-pinch", "--out", "pinch.txt")):
+            assert run(capsys, "gen", *args)[0] == 0
+        for graph, p, q, expected in (("c4.txt", "5", "2", self.C4_DOT),
+                                      ("theta.txt", "3", "1", self.THETA_DOT)):
+            code, out, err = run(capsys, "mix", graph, "-p", p, "-q", q,
+                                 "--dot", "col.dot")
+            assert (code, out, err) == (0, "MIXING\n", "")
+            assert (tmp_path / "col.dot").read_text() == self.dot_text(*expected)
+        for p, q, length in ((3, 1, 6), (5, 2, 10), (7, 2, 6), (7, 3, 14),
+                             (8, 3, 8), (10, 4, 10)):
+            assert run(capsys, "min-cycle", "-p", str(p), "-q", str(q)) == (
+                0, f"{length}\n", "")
+        code, out, err = run(capsys, "mix", "fig1.txt", "-p", "7", "-q", "2",
+                             "--method", "planar", "--explain", "fig1.json")
+        assert (code, out, err) == (
+            1, "NOT-MIXING\nfaces: not-mixing {'lengths': [4, 4, 4, 4, 10, 10], "
+            "'threshold': 6, 'long_faces': 2}\n", "")
+        assert (tmp_path / "fig1.json").read_text() == json.dumps(
+            self.FIGURE1_TREE, indent=2) + "\n"
+        leaf = ("  faces: mixing {'lengths': [4, 4, 4], 'threshold': 6, "
+                "'long_faces': 0}\n")
+        code, out, err = run(capsys, "mix", "pinch.txt", "-p", "3", "-q", "1",
+                             "--method", "planar", "--explain", "pinch.json")
+        assert (code, out, err) == (
+            0, "MIXING\nsplit: mixing {'cycle': (0, 1, 2, 3)}\n" + leaf + leaf, "")
+        assert (tmp_path / "pinch.json").read_text() == json.dumps(
+            self.PINCH_TREE, indent=2) + "\n"

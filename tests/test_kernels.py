@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import support
 from circmix import kernels
 from circmix.circular import CircularParams, enumerate_colourings
 from circmix.kernels import (BudgetExceededError, bfs_tree, component_labels,
-                             compat_table, enumerate_states, state_codes)
+                             compat_table, enumerate_states, moves, state_codes)
+from circmix.reconfig import col_neighbours
 
 CASES = [
     (support.cycle(6), 7, 2),
@@ -52,6 +54,42 @@ def test_bfs_tree_matches_python_reference(g, p, q):
             g, CircularParams(p, q), start)
         assert visited.tolist() == ref_visited
         assert parent.tolist() == ref_parent
+
+
+def test_bfs_tree_across_frontier_chunks(monkeypatch):
+    # frontiers split into chunks of 7 states give the same tree
+    monkeypatch.setattr(kernels, "MOVE_CHUNK", 7)
+    for g, p, q in CASES:
+        states = enumerate_states(g, p, q)
+        if states.shape[0] == 0:
+            continue
+        visited, parent = bfs_tree(states, state_codes(states, p), g, p, q, 0)
+        ref_visited, ref_parent = support.python_bfs_tree(
+            g, CircularParams(p, q), 0)
+        assert visited.tolist() == ref_visited
+        assert parent.tolist() == ref_parent
+
+
+@pytest.mark.parametrize("g,p,q", CASES)
+def test_moves_match_python_reference(g, p, q):
+    # (vertex, colour) ascending, then the order of the given rows
+    params = CircularParams(p, q)
+    fs = list(enumerate_colourings(g, params))
+    states = enumerate_states(g, p, q)
+    if not fs:
+        return
+    index = {f.colours: i for i, f in enumerate(fs)}
+    rows = list(range(len(fs)))
+    random.Random(3).shuffle(rows)
+    rows = rows[:len(rows) // 2 + 1]
+    expected = []
+    for k, i in enumerate(rows):
+        for h in col_neighbours(fs[i]):
+            v = next(u for u in range(g.n) if h.colours[u] != fs[i].colours[u])
+            expected.append((v, h.colours[v], k, i, index[h.colours]))
+    expected.sort()
+    source, target = moves(states, state_codes(states, p), g, p, q, rows)
+    assert list(zip(source.tolist(), target.tolist())) == [e[3:] for e in expected]
 
 
 def test_component_labels_match_pure_python():

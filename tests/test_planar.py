@@ -142,6 +142,17 @@ class TestMinimalNonMixingCycle:
         with pytest.raises(ValueError):
             minimal_non_mixing_even_cycle(CircularParams(8, 2))
 
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(3, 9)
+                                     for q in range(1, p)
+                                     if 2 * q < p < 4 * q])
+    def test_closed_form_is_the_oracle_threshold(self, p, q):
+        params = CircularParams(p, q)
+        length = minimal_non_mixing_even_cycle(params)
+        assert length % 2 == 0
+        assert is_mixing_oracle(support.cycle(length), params).status == "not-mixing"
+        if length - 2 >= 4:
+            assert is_mixing_oracle(support.cycle(length - 2), params).status == "mixing"
+
 
 def catalogue():
     gs = [cycle_graph(k) for k in (4, 6, 8)]
