@@ -80,6 +80,8 @@ def _verdict_exit(status: str) -> int:
 
 
 def cmd_mix(args) -> int:
+    if args.explain and args.method != "planar":
+        raise ValueError("--explain needs --method planar")
     doc = files.load_graph_document(args.graph)
     params = _params(args)
     g = doc.graph
@@ -231,7 +233,8 @@ def build_parser() -> _Parser:
     p_mix.add_argument("--certificate", default=None,
                        help="where to write the NO-certificate")
     p_mix.add_argument("--explain", default=None,
-                       help="planar method: write the decision tree as JSON")
+                       help="write the planar decision tree as JSON "
+                       "(--method planar only; otherwise exit 4)")
     p_mix.add_argument("--dot", default=None,
                        help="export the recolouring graph as DOT (at most "
                        "20,000 states, else exit 3)")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .circular import CircularParams, Colouring
-from .fold import FoldTrace, replay_trace
+from .fold import FoldTrace, _is_cycle_graph, replay_trace
 from .graphs import Cycle, Graph, build_graph, induced_subgraph
 from .planar import RotationSystem
 from .reconfig import NonMixingWitness
@@ -280,8 +280,6 @@ def verify_fold_trace_file(tf: FoldTraceFile, base_dir: str = "."):
     if frozenset((min(u, v), max(u, v)) for u, v in tf.final_edges) != trace.final.edges:
         problems.append("final edge list does not match the replayed graph")
     if tf.target is not None:
-        from .fold import _is_cycle_graph
-
         if not _is_cycle_graph(trace.final, tf.target):
             problems.append(f"final graph is not a {tf.target}-cycle")
     return not problems, problems

@@ -17,7 +17,7 @@ from .circular import CircularParams, require_ratio_open
 from .graphs import (Graph, SizeGuardError, bfs_forest, bipartition, build_graph,
                      canonical_key, connected_components, girth_cycle,
                      has_cycle_of_length_at_least, induced_subgraph, is_connected,
-                     longest_cycle_length)
+                     longest_cycle_length, tree_path)
 from .kernels import BudgetExceededError
 
 DEFAULT_MEMO_BUDGET = 100_000
@@ -180,11 +180,8 @@ def retract_to_path(g: Graph, x: int, y: int) -> RetractionMap:
         raise ValueError("path retraction requires a connected graph")
     if not 0 <= y < g.n:
         raise ValueError(f"no path between {x} and {y}")
-    parent, depth, _ = bfs_forest(g, (x,))
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
+    parent, depth, _ = bfs_forest(g.adjacency, (x,))
+    path = tree_path(parent, y)[::-1]
     k = len(path) - 1
     if k == 0:
         if g.m > 0:

@@ -4,6 +4,11 @@ Vertices are dense integers 0..n-1.  Graphs are immutable after construction
 and all operations here are pure, so values can be shared freely between
 threads.  Tie-breaking is always lowest-index-first so that downstream
 certificates are reproducible.
+
+``bfs_forest`` is the one vertex-level BFS: it runs on any adjacency
+(undirected graphs pass ``g.adjacency``; the tight digraph and the planar
+dual pass their own neighbour lists), and ``tree_path`` reads a path out of
+its parent array.  ``shortest_cycle`` keeps its own early-exit BFS.
 """
 
 from __future__ import annotations
@@ -88,27 +93,16 @@ def bipartition(g: Graph) -> Bipartition:
 
     The walk closes at the first edge, in BFS order, whose ends share a level.
     """
-    parent, depth, order = bfs_forest(g, range(g.n))
+    parent, depth, order = bfs_forest(g.adjacency, range(g.n))
     for u in order:
         for v in g.adjacency[u]:
             if depth[v] == depth[u]:
-                walk = _odd_walk(parent, u, v)
+                # Closed odd walk root..u,v..root along BFS tree paths; the
+                # start is not repeated, so its length is its vertex count.
+                pu, pv = tree_path(parent, u), tree_path(parent, v)
+                walk = tuple(reversed(pu)) + tuple(pv[:-1])
                 return Bipartition(valid=False, side=(), odd_walk=walk)
     return Bipartition(valid=True, side=tuple(d % 2 for d in depth))
-
-
-def _odd_walk(parent: list, u: int, v: int) -> tuple:
-    # Closed odd walk root..u,v..root along BFS tree paths; the start is not
-    # repeated, so the walk length equals the vertex count.
-    def path_to_root(x):
-        out = [x]
-        while parent[out[-1]] != -1:
-            out.append(parent[out[-1]])
-        return out
-
-    pu = path_to_root(u)  # u .. root
-    pv = path_to_root(v)  # v .. root
-    return tuple(reversed(pu)) + tuple(pv[:-1])
 
 
 @dataclass(frozen=True)
@@ -169,15 +163,18 @@ class CycleBasis:
     fundamental: tuple  # tuple of Cycle
 
 
-def bfs_forest(g: Graph, roots) -> tuple:
-    """Deterministic BFS forest grown from each unvisited root in turn.
+def bfs_forest(adjacency, roots) -> tuple:
+    """Deterministic BFS forest over ``adjacency`` (a neighbour sequence per
+    vertex, scanned in its own order) grown from each unvisited root in turn.
+    The one vertex-level BFS: every traversal of a graph, digraph or dual
+    graph runs on it.
 
     Returns (parent, depth, order): parent -1 at roots and at vertices no
     root reaches, depth -1 at the latter, and ``order`` lists the reached
     vertices in discovery order, so every parent precedes its children.
     """
-    parent = [-1] * g.n
-    depth = [-1] * g.n
+    parent = [-1] * len(adjacency)
+    depth = [-1] * len(adjacency)
     order = []
     for root in roots:
         if depth[root] != -1:
@@ -187,7 +184,7 @@ def bfs_forest(g: Graph, roots) -> tuple:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in g.adjacency[u]:
+            for v in adjacency[u]:
                 if depth[v] == -1:
                     depth[v] = depth[u] + 1
                     parent[v] = u
@@ -196,10 +193,18 @@ def bfs_forest(g: Graph, roots) -> tuple:
     return parent, depth, order
 
 
+def tree_path(parent, v: int) -> list:
+    """``[v, parent[v], ..., root]``, following ``parent`` until it reads -1."""
+    path = [v]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    return path
+
+
 def fundamental_cycle_basis(g: Graph) -> CycleBasis:
     """BFS spanning forest (rooted at the lowest vertex of each component)
     and the fundamental cycle of every non-tree edge."""
-    parent, depth, order = bfs_forest(g, range(g.n))
+    parent, depth, order = bfs_forest(g.adjacency, range(g.n))
     tree = {(min(parent[v], v), max(parent[v], v)) for v in order if parent[v] != -1}
     fundamental = []
     for (u, v) in sorted(g.edges):
@@ -288,12 +293,7 @@ def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
                     queue.append(v)
                 elif parent[u] != v and (not odd or dist[v] == dist[u]):
                     # Cross or level edge closes a cycle through s.
-                    pu, pv = [u], [v]
-                    while pu[-1] != -1:
-                        pu.append(parent[pu[-1]])
-                    while pv[-1] != -1:
-                        pv.append(parent[pv[-1]])
-                    pu, pv = pu[:-1], pv[:-1]
+                    pu, pv = tree_path(parent, u), tree_path(parent, v)
                     common = set(pu) & set(pv)
                     # Trim to the first common ancestor.
                     iu = next(i for i, x in enumerate(pu) if x in common)
@@ -445,13 +445,13 @@ def _pop_block(edge_stack: list, top_edge: tuple) -> Block:
 
 def distance(g: Graph, u: int, v: int) -> Optional[int]:
     """BFS hop count from u to v; None when unreachable."""
-    d = bfs_forest(g, (u,))[1][v]
+    d = bfs_forest(g.adjacency, (u,))[1][v]
     return None if d == -1 else d
 
 
 def connected_components(g: Graph) -> list:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    _, depth, order = bfs_forest(g, range(g.n))
+    _, depth, order = bfs_forest(g.adjacency, range(g.n))
     comps = []
     for v in order:  # each component is a contiguous run starting at its root
         if depth[v] == 0:

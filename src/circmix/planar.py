@@ -13,13 +13,13 @@ colouring enumeration.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .circular import CircularParams, require_ratio_open
-from .graphs import (Cycle, Graph, bipartition, blocks, build_graph,
-                     enumerate_cycles, is_connected)
+from .graphs import (Cycle, Graph, bfs_forest, bipartition, blocks, build_graph,
+                     connected_components, enumerate_cycles, is_connected,
+                     is_cycle_of)
 from .reconfig import MixingVerdict
 
 
@@ -117,8 +117,6 @@ def _check_euler(g: Graph, walks: list) -> None:
     if sum(len(w) for w in walks) != 2 * g.m:
         raise EmbeddingError("face walks do not cover every dart exactly once")
     comp_of = {}
-    from .graphs import connected_components
-
     comps = connected_components(g)
     for i, comp in enumerate(comps):
         for v in comp:
@@ -141,8 +139,6 @@ def region_split(g: Graph, rot: RotationSystem, c: Cycle) -> RegionSplit:
     with the dual edges across the cycle removed."""
     if not is_connected(g):
         raise ValueError("region split expects a connected embedded graph")
-    from .graphs import is_cycle_of
-
     if not is_cycle_of(g, c.vertices):
         raise ValueError("not a cycle of the host graph")
     fs = faces(g, rot)
@@ -153,15 +149,7 @@ def region_split(g: Graph, rot: RotationSystem, c: Cycle) -> RegionSplit:
             dart_face[(walk[j], walk[(j + 1) % k])] = i
     cut = {(min(u, v), max(u, v)) for u, v in zip(c.vertices,
                                                   c.vertices[1:] + c.vertices[:1])}
-    outside = {fs.outer}
-    queue = deque([fs.outer])
-    dual = _dual_adjacency(g, dart_face, cut)
-    while queue:
-        f = queue.popleft()
-        for f2 in dual[f]:
-            if f2 not in outside:
-                outside.add(f2)
-                queue.append(f2)
+    outside = set(bfs_forest(_dual_adjacency(g, dart_face, cut), (fs.outer,))[2])
     on_cycle = set(c.vertices)
     interior, exterior = set(), set()
     incident = {v: set() for v in range(g.n)}
@@ -186,9 +174,9 @@ def region_split(g: Graph, rot: RotationSystem, c: Cycle) -> RegionSplit:
                        interior_piece=int_piece, exterior_piece=ext_piece)
 
 
-def _dual_adjacency(g: Graph, dart_face: dict, cut: set) -> dict:
+def _dual_adjacency(g: Graph, dart_face: dict, cut: set) -> list:
     nfaces = max(dart_face.values()) + 1 if dart_face else 0
-    dual = {i: set() for i in range(nfaces)}
+    dual = [set() for _ in range(nfaces)]
     for (u, v) in g.edges:
         if (u, v) in cut:
             continue

@@ -12,7 +12,6 @@ linear over the cycle space and a basis check is exact).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -24,7 +23,8 @@ from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        enumerate_colourings, require_ratio_open, validate_colouring,
                        walk_weight)
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components,
-                     fundamental_cycle_basis, is_cycle_of, shortest_cycle)
+                     fundamental_cycle_basis, is_cycle_of, shortest_cycle,
+                     tree_path)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -169,11 +169,8 @@ def is_reachable_oracle(f: Colouring, g: Colouring,
                                        f.params.q, i, target=j)
     if not visited[j]:
         return False, None
-    idx_path = [j]
-    while idx_path[-1] != i:
-        idx_path.append(int(parent[idx_path[-1]]))
-    idx_path.reverse()
-    return True, [_colouring_at(states, k, host, f.params) for k in idx_path]
+    return True, [_colouring_at(states, k, host, f.params)
+                  for k in reversed(tree_path(parent, j))]
 
 
 def _check_same_instance(f: Colouring, g: Colouring) -> None:
@@ -191,16 +188,16 @@ def _check_same_instance(f: Colouring, g: Colouring) -> None:
 # Fixed vertices.
 
 
-def _tight_arcs(f: Colouring) -> dict:
-    """Directed arcs u -> v where W(uv, f) == q."""
+def _tight_arcs(f: Colouring) -> list:
+    """Ascending out-neighbour lists of the arcs u -> v where W(uv, f) == q."""
     q = f.params.q
-    arcs = {v: [] for v in range(f.host.n)}
+    arcs = [[] for _ in range(f.host.n)]
     for (u, v) in f.host.edges:
         if edge_weight(f, u, v) == q:
             arcs[u].append(v)
         if edge_weight(f, v, u) == q:
             arcs[v].append(u)
-    return {v: sorted(ws) for v, ws in arcs.items()}
+    return [sorted(ws) for ws in arcs]
 
 
 def _tight_fixed_set(f: Colouring):
@@ -212,125 +209,39 @@ def _tight_fixed_set(f: Colouring):
     vertices inherit the same freeze.  Returns (fixed set, evidence walks).
     """
     arcs = _tight_arcs(f)
-    n = f.host.n
-    scc_id = _kosaraju(arcs, n)
-    size = {}
-    for v in range(n):
-        size[scc_id[v]] = size.get(scc_id[v], 0) + 1
-    core = {v for v in range(n) if size[scc_id[v]] >= 2}
-    fwd = _reach(arcs, core)
-    rev_arcs = {v: [] for v in range(n)}
-    for u, ws in arcs.items():
+    rev = [[] for _ in arcs]
+    for u, ws in enumerate(arcs):
         for w in ws:
-            rev_arcs[w].append(u)
-    bwd = _reach(rev_arcs, core)
-    fixed = fwd & bwd
+            rev[w].append(u)
+    # v lies on a tight cycle when the BFS from v reaches some u with an arc
+    # u -> v; the tree path v..u closed by that arc is v's evidence.  No
+    # strong-component filter is needed: a reached vertex with an arc into
+    # v's component is in it, so no outside vertex is the parent of an
+    # inside one, and the inside vertices keep the discovery order and
+    # parents of a BFS confined to the component.
+    cycles = {}
+    for v in range(len(arcs)):
+        if arcs[v] and rev[v]:
+            parent, _, order = bfs_forest(arcs, (v,))
+            u = next((u for u in order if v in arcs[u]), None)
+            if u is not None:
+                cycles[v] = tuple(reversed(tree_path(parent, u))) + (v,)
+    fixed = set(bfs_forest(arcs, cycles)[2]) & set(bfs_forest(rev, cycles)[2])
     evidence = {}
     for v in sorted(fixed):
-        if v in core:
-            evidence[v] = _tight_cycle_through(arcs, scc_id, v)
+        if v in cycles:
+            evidence[v] = cycles[v]
         else:
-            evidence[v] = _tight_path_through(arcs, rev_arcs, core, v)
+            back = _walk_to_core(rev, cycles, v)  # v .. core, reversed arcs
+            fwd = _walk_to_core(arcs, cycles, v)  # v .. core, arcs
+            evidence[v] = tuple(reversed(back)) + tuple(fwd[1:])
     return frozenset(fixed), evidence
 
 
-def _kosaraju(arcs: dict, n: int) -> list:
-    order = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [(s, iter(arcs[s]))]
-        seen[s] = True
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(arcs[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(u)
-                stack.pop()
-    rev = {v: [] for v in range(n)}
-    for u, ws in arcs.items():
-        for w in ws:
-            rev[w].append(u)
-    comp = [-1] * n
-    c = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = c
-        while stack:
-            u = stack.pop()
-            for w in rev[u]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack.append(w)
-        c += 1
-    return comp
-
-
-def _reach(arcs: dict, sources: set) -> set:
-    seen = set(sources)
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        for w in arcs[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def _tight_cycle_through(arcs: dict, scc_id: list, v: int) -> tuple:
-    # BFS within v's strong component back to v.
-    parent = {v: None}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in arcs[u]:
-            if scc_id[w] != scc_id[v]:
-                continue
-            if w == v:
-                chain = [u]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                chain.reverse()
-                return tuple(chain) + (v,)
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    raise AssertionError("strong component of size >= 2 must contain a cycle")
-
-
-def _tight_path_through(arcs: dict, rev_arcs: dict, core: set, v: int) -> tuple:
-    back = _walk_to_core(rev_arcs, core, v)  # v .. core, following reversed arcs
-    fwd = _walk_to_core(arcs, core, v)  # v .. core, following arcs
-    return tuple(reversed(back)) + tuple(fwd[1:])
-
-
-def _walk_to_core(arcs: dict, core: set, v: int) -> list:
-    """BFS path [v, ..., c] following arcs until the first core vertex c."""
-    parent = {v: None}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        if u in core:
-            walk = [u]
-            while parent[walk[-1]] is not None:
-                walk.append(parent[walk[-1]])
-            walk.reverse()
-            return walk
-        for w in arcs[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    raise AssertionError("closure vertex must reach the tight core")
+def _walk_to_core(arcs: list, core, v: int) -> list:
+    """BFS path [v, ..., c] following arcs to the first core vertex c."""
+    parent, _, order = bfs_forest(arcs, (v,))
+    return tree_path(parent, next(u for u in order if u in core))[::-1]
 
 
 def fixed_vertices(f: Colouring, method: str = "tight-digraph",
@@ -384,7 +295,7 @@ def reachability_signature(f: Colouring, basis=None):
     cycle_weights = tuple(
         sum(edge_weight(f, a, b) for a, b in c.directed_edges())
         for c in basis.fundamental)
-    parent, _, order = bfs_forest(g, range(g.n))
+    parent, _, order = bfs_forest(g.adjacency, range(g.n))
     phi = [0] * g.n
     root = list(range(g.n))
     for v in order:

@@ -109,6 +109,50 @@ def random_connected_bipartite(n: int, count: int, seed: int) -> list:
     return out
 
 
+def joined_odd_cycles(rng: random.Random, p: int, q: int):
+    """Two or three tight C_p cycles (colours step by +q or -q round each)
+    joined in a chain by paths of 1-4 edges, each path tight forwards, tight
+    backwards or loose (proper random steps), plus up to three proper
+    chords; vertex labels shuffled.  Returns (graph, colours)."""
+    colours, edges = [], []
+
+    def new_vertex(c):
+        colours.append(c % p)
+        return len(colours) - 1
+
+    prev = None
+    for _ in range(rng.choice((2, 3))):
+        if prev is None:
+            first = new_vertex(rng.randrange(p))
+        else:
+            kind = rng.choice(("forward", "backward", "loose"))
+            u = rng.choice(prev)
+            for _ in range(rng.randint(1, 4)):
+                step = {"forward": q, "backward": -q}.get(kind)
+                v = new_vertex(colours[u] + (step or rng.randint(q, p - q)))
+                edges.append((u, v))
+                u = v
+            first = u
+        sign = rng.choice((1, -1))
+        cyc = [first] + [new_vertex(colours[first] + sign * i * q)
+                         for i in range(1, p)]
+        edges += [(cyc[i], cyc[(i + 1) % p]) for i in range(p)]
+        prev = cyc
+    n = len(colours)
+    present = {frozenset(e) for e in edges}
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        if frozenset((u, v)) not in present and q <= (colours[v] - colours[u]) % p <= p - q:
+            present.add(frozenset((u, v)))
+            edges.append((u, v))
+    label = list(range(n))
+    rng.shuffle(label)
+    relabelled = [0] * n
+    for v in range(n):
+        relabelled[label[v]] = colours[v]
+    return build_graph(n, [(label[u], label[v]) for u, v in edges]), relabelled
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles.
 

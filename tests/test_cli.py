@@ -118,6 +118,15 @@ class TestMix:
         assert "faces" in out
         assert os.path.exists(explain)
 
+    @pytest.mark.parametrize("method", ["oracle", "wind", "fold"])
+    def test_explain_needs_planar(self, tmp_path, capsys, method):
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        explain = tmp_path / "ex.json"
+        code, out, err = run(capsys, "mix", c10, "-p", "5", "-q", "2",
+                             "--method", method, "--explain", str(explain))
+        assert code == 4 and "--explain" in err
+        assert out == "" and not explain.exists()
+
     def test_planar_needs_rotation(self, tmp_path, capsys):
         c6 = write_graph(tmp_path, support.cycle(6), "c6.txt")
         code, _, err = run(capsys, "mix", c6, "-p", "7", "-q", "2",

@@ -1,8 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import circmix
 import support
 from circmix.graphs import (Cycle, SizeGuardError, bipartition, blocks, build_graph,
                             canonical_key, connected_components, distance,
@@ -283,3 +286,14 @@ class TestCanonicalKey:
             b = support.brute_min_label_key(g)
             assert by_key.setdefault(k, b) == b
             assert by_brute.setdefault(b, k) == k
+
+
+def test_one_bfs_routine():
+    # graphs.bfs_forest is the one vertex-level BFS (shortest_cycle keeps its
+    # early exit beside it), so no other module imports or names a deque.
+    for path in sorted(Path(circmix.__file__).parent.glob("*.py")):
+        if path.name != "graphs.py":
+            names = {getattr(node, key, None)
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     for key in ("id", "attr", "name")}
+            assert "deque" not in names, path.name

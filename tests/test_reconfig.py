@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -15,7 +16,8 @@ from circmix.kernels import BudgetExceededError
 from circmix.reconfig import (NonMixingWitness, _make_witness, col_neighbours,
                               fixed_vertices, is_mixing_oracle, is_mixing_wind,
                               is_reachable_characterized, is_reachable_oracle,
-                              locked_vertices, verify_witness)
+                              locked_vertices, reachability_signature,
+                              verify_witness)
 
 P31 = CircularParams(3, 1)
 P52 = CircularParams(5, 2)
@@ -243,6 +245,31 @@ class TestFixed:
             assert v in walk
             for a, b in zip(walk, walk[1:]):
                 assert edge_weight(f, a, b) == 2
+
+    def test_evidence_walks_pinned(self):
+        # Exact evidence walks and signatures on 300 chains of tight odd
+        # cycles (support.joined_odd_cycles), digest captured before the
+        # tight-digraph traversals moved onto graphs.bfs_forest.  A cycle
+        # walk closes at the first vertex, in BFS order from v, with an arc
+        # into v; a path walk runs between the first core vertices reached
+        # backwards and forwards.
+        lines = []
+        path_walks = 0
+        for seed in range(300):
+            p, q = ((3, 1), (5, 2), (7, 3))[seed % 3]
+            g, colours = support.joined_odd_cycles(random.Random(seed), p, q)
+            f = support.colouring(g, CircularParams(p, q), colours)
+            report = fixed_vertices(f)
+            fixed, images, weights, deltas = reachability_signature(f)
+            for v, walk in report.evidence.items():
+                assert v in walk
+                assert all(edge_weight(f, a, b) == q for a, b in zip(walk, walk[1:]))
+                path_walks += walk[0] != walk[-1]
+            lines.append(repr((sorted(report.fixed), sorted(report.evidence.items()),
+                               sorted(fixed), images, weights, deltas)))
+        assert path_walks == 439
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "8c89072961a700713d045bed609d2f45c90d2dd3fdada322531e2ee31235e578"
 
 
 class TestReachabilityCharacterized:
