@@ -189,9 +189,9 @@ def cmd_fold_search(args) -> int:
 def cmd_threshold(args) -> int:
     doc = files.load_graph_document(args.graph)
     res = fold.circular_mixing_threshold(doc.graph, memo_budget=args.memo_budget)
-    cyc = "unknown" if res.longest_cycle is None else str(res.longest_cycle)
     print(f"threshold k = {res.k} (target cycle C_{2 * res.k + 1}; "
-          f"longest cycle {cyc}; fold-tested k = {list(res.tested)})")
+          f"longest basis cycle {res.longest_basis_cycle}; "
+          f"fold-tested k = {list(res.tested)})")
     return EXIT_YES
 
 

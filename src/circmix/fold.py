@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circular import CircularParams, require_ratio_open
-from .graphs import (Graph, SizeGuardError, bfs_forest, bipartition, build_graph,
-                     canonical_key, connected_components, girth_cycle,
-                     has_cycle_of_length_at_least, induced_subgraph, is_connected,
-                     longest_cycle_length, tree_path)
+from .graphs import (Graph, bfs_forest, bipartition, build_graph, canonical_key,
+                     connected_components, girth_cycle, induced_subgraph,
+                     is_connected, longest_basis_cycle, tree_path)
 from .kernels import BudgetExceededError
 
 DEFAULT_MEMO_BUDGET = 100_000
@@ -233,8 +232,7 @@ def _is_cycle_graph(g: Graph, length: int) -> bool:
 
 
 def folds_to_cycle(g: Graph, length: int,
-                   memo_budget: int = DEFAULT_MEMO_BUDGET,
-                   prune_by_cycle_length: bool = True) -> Optional[FoldTrace]:
+                   memo_budget: int = DEFAULT_MEMO_BUDGET) -> Optional[FoldTrace]:
     """Search the fold closure of g for the cycle C_length.
 
     Two layers: a constructive fast path (when the graph is bipartite and
@@ -244,11 +242,23 @@ def folds_to_cycle(g: Graph, length: int,
     states in ascending vertex count and canonical-key order so traces are
     reproducible.
 
-    States with fewer than ``length`` vertices are dead; with
-    ``prune_by_cycle_length`` states whose cycles are all shorter than the
-    target are dropped as well (for even targets 4k+2 on bipartite inputs a
-    graph with only shorter cycles mixes at (2k+1,k) and therefore cannot
-    fold to the target).
+    States with at most ``length`` vertices are dead, and so are states
+    whose minimum cycle basis has only cycles shorter than ``length``
+    (``longest_basis_cycle``).  Every state shares g's parity, and no such
+    state folds to C_length:
+
+    * even L >= 6: some coprime (p, q) with 2 < p/q < 4 has threshold
+      2*ceil(p/(p-2q)) = L ((2k+1, k) for L = 4k+2, (6k-1, 3k-2) for
+      L = 4k).  Shorter cycles are balanced there and imbalance is linear
+      over the cycle space, so the state mixes at (p, q); fold images of
+      mixing graphs mix, and C_L does not;
+    * odd L: a basis of a non-bipartite graph holds an odd cycle, so the
+      odd girth is below L and no homomorphism onto C_L exists;
+    * L = 4: a bipartite basis with no cycle of length 4 or more is empty,
+      and forests fold only to forests.
+
+    A state with a mixing parent mixes too, so no pruned state lies on a
+    path to the target and the traces found are those of the full search.
     """
     if length < 3:
         raise ValueError("cycle targets need length >= 3")
@@ -267,7 +277,7 @@ def folds_to_cycle(g: Graph, length: int,
         shortest = girth_cycle(g)
         if shortest is not None and len(shortest) >= length:
             return _guided_cycle_trace(g, length)
-    return _search_fold_closure(g, length, memo_budget, prune_by_cycle_length)
+    return _search_fold_closure(g, length, memo_budget)
 
 
 def _guided_cycle_trace(g: Graph, length: int) -> FoldTrace:
@@ -305,9 +315,9 @@ def _remap_assignment(image: list, vmap: tuple) -> list:
     return out
 
 
-def _search_fold_closure(g: Graph, length: int, memo_budget: int,
-                         prune_by_cycle_length: bool) -> Optional[FoldTrace]:
-    if prune_by_cycle_length and not has_cycle_of_length_at_least(g, length):
+def _search_fold_closure(g: Graph, length: int,
+                         memo_budget: int) -> Optional[FoldTrace]:
+    if longest_basis_cycle(g) < length:
         return None
     root_key = canonical_key(g)
     memo = {root_key: (g, None, None)}  # key -> (graph, parent key, (x, y))
@@ -322,10 +332,7 @@ def _search_fold_closure(g: Graph, length: int, memo_budget: int,
                 child, _ = elementary_fold(h, x, y)
                 if _is_cycle_graph(child, length):
                     return _rebuild_trace(g, memo, key, (x, y))
-                if child.n <= length:
-                    continue
-                if prune_by_cycle_length and \
-                        not has_cycle_of_length_at_least(child, length):
+                if child.n <= length or longest_basis_cycle(child) < length:
                     continue
                 ck = canonical_key(child)
                 if ck in memo or ck in next_level:
@@ -393,7 +400,7 @@ def odd_mixing_by_fold(g: Graph, k: int,
 @dataclass(frozen=True)
 class ThresholdResult:
     k: int
-    longest_cycle: Optional[int]  # None if the exhaustive search was skipped
+    longest_basis_cycle: int  # longest cycle of a minimum cycle basis
     tested: tuple  # k values that went through the fold criterion
 
 
@@ -401,29 +408,20 @@ def circular_mixing_threshold(g: Graph,
                               memo_budget: int = DEFAULT_MEMO_BUDGET) -> ThresholdResult:
     """Smallest k such that g is C_{2k+1}-mixing (bipartite, connected).
 
-    Once 4k+2 exceeds the longest cycle length the fold target is out of
-    reach and g mixes, so the scan is bounded.  If the graph is too large
-    for the exhaustive longest-cycle search, the vertex count bounds it
-    instead and the result records that the cycle length is unknown.
+    At (2k+1, k) every cycle shorter than 4k+2 is balanced and imbalance is
+    linear over the cycle space, so once 4k+2 exceeds the longest cycle of
+    a minimum cycle basis g mixes and the scan stops without a fold search.
     """
     if not bipartition(g).valid:
         raise ValueError("threshold defined here for bipartite graphs only")
     if not is_connected(g):
         raise ValueError("threshold expects a connected graph")
-    try:
-        longest = longest_cycle_length(g)
-        bound_known = True
-    except SizeGuardError:
-        longest = None
-        bound_known = False
+    longest = longest_basis_cycle(g)
     k = 1
     tested = []
-    while True:
-        limit = longest if bound_known else g.n
-        if 4 * k + 2 > limit:
-            return ThresholdResult(k=k, longest_cycle=longest, tested=tuple(tested))
+    while 4 * k + 2 <= longest:
         tested.append(k)
-        mixing, _ = odd_mixing_by_fold(g, k, memo_budget=memo_budget)
-        if mixing:
-            return ThresholdResult(k=k, longest_cycle=longest, tested=tuple(tested))
+        if odd_mixing_by_fold(g, k, memo_budget=memo_budget)[0]:
+            break
         k += 1
+    return ThresholdResult(k=k, longest_basis_cycle=longest, tested=tuple(tested))

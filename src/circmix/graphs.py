@@ -9,6 +9,8 @@ certificates are reproducible.
 (undirected graphs pass ``g.adjacency``; the tight digraph and the planar
 dual pass their own neighbour lists), and ``tree_path`` reads a path out of
 its parent array.  ``shortest_cycle`` keeps its own early-exit BFS.
+``longest_basis_cycle`` is the one cycle-length bound (for the fold prune and
+the threshold scan); it takes polynomial time, so it has no vertex cap.
 """
 
 from __future__ import annotations
@@ -306,63 +308,45 @@ def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
     return best
 
 
-LONGEST_CYCLE_VERTEX_CAP = 24
+def longest_basis_cycle(g: Graph) -> int:
+    """Length of the longest cycle in a minimum cycle basis (0 if acyclic).
 
-
-def longest_cycle_length(g: Graph) -> int:
-    """Length of a longest simple cycle (0 if acyclic), by exhaustive DFS.
-
-    Intended for desk-scale graphs; refuses graphs above
-    ``LONGEST_CYCLE_VERTEX_CAP`` vertices.
+    Horton (1987): for each root r and edge u-v whose BFS tree paths r..u
+    and r..v meet only at r, those paths closed by u-v form a candidate
+    cycle, and the candidates hold a minimum basis.  Taking them shortest
+    first and keeping each one GF(2)-independent of those kept (edge sets
+    as int bitsets) builds one.  Every minimum basis has the same lengths,
+    so the answer does not depend on the order of ties.
     """
-    if g.n > LONGEST_CYCLE_VERTEX_CAP:
-        raise SizeGuardError(
-            f"longest-cycle search capped at {LONGEST_CYCLE_VERTEX_CAP} vertices")
-    return _longest_cycle(g, 0, g.n)
-
-
-def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
-    """Early-exit variant of the longest-cycle search."""
-    if length <= 0:
-        return True
-    enough = max(3, length)
-    return _longest_cycle(g, enough - 1, enough) >= enough
-
-
-def _longest_cycle(g: Graph, best: int, stop: int) -> int:
-    """The larger of ``best`` and the longest simple cycle length, by DFS;
-    returns as soon as that reaches ``stop``.
-
-    Each cycle is walked from its minimum vertex s through larger vertices,
-    so it has at most n - s vertices.
-    """
-    for s in range(g.n):
-        if g.n - s <= best:
+    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
+    candidates = set()
+    for r in range(g.n):
+        parent, depth, order = bfs_forest(g.adjacency, (r,))
+        branch = [r] * g.n  # the child of r whose subtree holds v
+        path_edges = [0] * g.n
+        for v in order[1:]:
+            u = parent[v]
+            branch[v] = v if u == r else branch[u]
+            path_edges[v] = path_edges[u] | bit[min(u, v), max(u, v)]
+        for (u, v), b in bit.items():
+            # a tree edge at r or an edge outside r's component closes
+            # fewer than three vertices
+            length = depth[u] + depth[v] + 1
+            if length >= 3 and branch[u] != branch[v]:
+                candidates.add((length, path_edges[u] | path_edges[v] | b))
+    rank = g.m - g.n + len(connected_components(g))
+    kept, longest = {}, 0
+    for length, cycle in sorted(candidates):
+        if len(kept) == rank:
             break
-        path = [s]
-        on_path = {s}
-
-        def extend() -> bool:
-            nonlocal best
-            for v in g.adjacency[path[-1]]:
-                if v == s:
-                    if len(path) > best and len(path) >= 3:
-                        best = len(path)
-                        if best >= stop:
-                            return True
-                elif v > s and v not in on_path:
-                    path.append(v)
-                    on_path.add(v)
-                    done = extend()
-                    on_path.discard(v)
-                    path.pop()
-                    if done:
-                        return True
-            return False
-
-        if extend():
-            break
-    return best
+        while cycle:
+            lead = cycle.bit_length()
+            if lead not in kept:
+                kept[lead] = cycle
+                longest = length
+                break
+            cycle ^= kept[lead]
+    return longest
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,19 @@ def _tight_fixed_set(f: Colouring):
     for u, ws in enumerate(arcs):
         for w in ws:
             rev[w].append(u)
+    # Peel vertices left with no tight in-arc or no tight out-arc: none lies
+    # on a tight cycle, and a long tight path then costs no BFS per vertex.
+    live_in, live_out = [len(ws) for ws in rev], [len(ws) for ws in arcs]
+    stack = [v for v in range(len(arcs)) if not live_in[v] or not live_out[v]]
+    peeled = set(stack)
+    while stack:
+        v = stack.pop()
+        for live, ws in ((live_in, arcs[v]), (live_out, rev[v])):
+            for w in ws:
+                live[w] -= 1
+                if not live[w] and w not in peeled:
+                    peeled.add(w)
+                    stack.append(w)
     # v lies on a tight cycle when the BFS from v reaches some u with an arc
     # u -> v; the tree path v..u closed by that arc is v's evidence.  No
     # strong-component filter is needed: a reached vertex with an arc into
@@ -221,7 +234,7 @@ def _tight_fixed_set(f: Colouring):
     # parents of a BFS confined to the component.
     cycles = {}
     for v in range(len(arcs)):
-        if arcs[v] and rev[v]:
+        if v not in peeled:
             parent, _, order = bfs_forest(arcs, (v,))
             u = next((u for u in order if v in arcs[u]), None)
             if u is not None:

@@ -173,6 +173,44 @@ def brute_cycle_sets(g: Graph, max_len: int) -> set:
     return found
 
 
+def brute_longest_basis_cycle(g: Graph) -> int:
+    """Longest cycle of a minimum cycle basis: every simple cycle from
+    ``brute_cycle_sets``, shortest first, kept when GF(2)-independent of
+    those kept (edge sets as vertex-pair sets)."""
+    kept = []  # (pivot edge, edge set), each pivot absent from later rows
+    longest = 0
+    for seq in sorted(brute_cycle_sets(g, g.n), key=len):
+        row = {frozenset((seq[i], seq[(i + 1) % len(seq)])) for i in range(len(seq))}
+        for pivot, other in kept:
+            if pivot in row:
+                row ^= other
+        if row:
+            kept.append((min(row, key=sorted), row))
+            longest = len(seq)
+    return longest
+
+
+def brute_folds_to_cycle(g: Graph, length: int) -> bool:
+    """Does g fold onto C_length?  Walks the whole fold closure (every
+    identification of two vertices at distance 2), one graph per
+    isomorphism class, with no pruning.  Tiny graphs only."""
+    target = canonical_key(cycle(length))
+    seen, todo = set(), [g]
+    while todo:
+        h = todo.pop()
+        key = canonical_key(h)
+        if key == target:
+            return True
+        if key in seen:
+            continue
+        seen.add(key)
+        for x, y in itertools.combinations(range(h.n), 2):
+            if not h.has_edge(x, y) and set(h.adjacency[x]) & set(h.adjacency[y]):
+                image = [x if v == y else v - (v > y) for v in range(h.n)]
+                todo.append(build_graph(h.n - 1, [(image[u], image[v]) for u, v in h.edges]))
+    return False
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False

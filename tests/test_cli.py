@@ -282,10 +282,26 @@ class TestOtherCommands:
         code, text, _ = run(capsys, "fold-search", c4, "-L", "6")
         assert code == 1 and "NONE" in text
 
-    def test_threshold(self, tmp_path, capsys):
-        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
-        code, out, _ = run(capsys, "threshold", c10)
-        assert code == 0 and "k = 3" in out
+    def test_threshold(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "cycle", "10", "--out", "c10.txt")
+        run(capsys, "gen", "figure1", "--out", "fig1.txt")
+        assert run(capsys, "threshold", "c10.txt") == (0, (
+            "threshold k = 3 (target cycle C_7; longest basis cycle 10; "
+            "fold-tested k = [1, 2])\n"), "")
+        assert run(capsys, "threshold", "fig1.txt") == (0, (
+            "threshold k = 2 (target cycle C_5; longest basis cycle 8; "
+            "fold-tested k = [1])\n"), "")
+
+    def test_large_grid_needs_no_fold_search(self, tmp_path, monkeypatch, capsys):
+        # 30 vertices, past canonical_key's guard: the minimum cycle basis
+        # is all 4-cycles, so both answers come without a closure search
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "grid", "5", "6", "--out", "g.txt")
+        assert run(capsys, "threshold", "g.txt") == (0, (
+            "threshold k = 1 (target cycle C_3; longest basis cycle 4; "
+            "fold-tested k = [])\n"), "")
+        assert run(capsys, "fold-search", "g.txt", "-L", "6") == (1, "NONE\n", "")
 
     def test_min_cycle(self, capsys):
         code, out, _ = run(capsys, "min-cycle", "-p", "5", "-q", "2")

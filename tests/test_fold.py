@@ -2,10 +2,12 @@ import pytest
 
 import support
 from circmix.circular import CircularParams
-from circmix.fold import (circular_mixing_threshold, elementary_fold,
-                          folds_to_cycle, is_homomorphism_onto, odd_mixing_by_fold,
-                          reduce_dominated, replay_trace, retract_to_path,
-                          retract_to_shortest_cycle, _is_cycle_graph)
+from circmix.fold import (DEFAULT_MEMO_BUDGET, circular_mixing_threshold,
+                          elementary_fold, folds_to_cycle, is_homomorphism_onto,
+                          odd_mixing_by_fold, reduce_dominated, replay_trace,
+                          retract_to_path, retract_to_shortest_cycle,
+                          _is_cycle_graph, _search_fold_closure)
+from circmix.generators import pinched_octagon
 from circmix.graphs import build_graph, canonical_key, distance
 from circmix.reconfig import is_mixing_oracle
 
@@ -138,21 +140,24 @@ class TestFoldsToCycle:
         assert folds_to_cycle(support.path(8), 4) is None
         assert folds_to_cycle(support.star(7), 4) is None
 
-    def test_pruning_changes_nothing_bipartite_small(self):
-        # the longest-cycle prune must not alter outcomes on the odd-cycle
-        # decision path
-        for n in range(2, 8):
-            for g in support.connected_bipartite_upto_iso(n):
-                a = folds_to_cycle(g, 6, prune_by_cycle_length=True)
-                b = folds_to_cycle(g, 6, prune_by_cycle_length=False)
-                assert (a is None) == (b is None)
+    def test_prune_matches_unpruned_reference(self):
+        # the longest-basis-cycle prune is sound for every target: even and
+        # odd, bipartite and not
+        cases = 0
+        for n in range(1, 7):
+            for g in support.connected_graphs_upto_iso(n):
+                for length in range(3, n + 1):
+                    found = folds_to_cycle(g, length)
+                    assert (found is not None) == support.brute_folds_to_cycle(g, length), \
+                        (g.edges, length)
+                    cases += 1
+        assert cases == 525
 
     def test_guided_and_search_agree_on_girth_cases(self):
-        # force the closure search on inputs the fast path would take
+        # run the closure search on an input the fast path would take
         g = support.cycle(10)
         fast = folds_to_cycle(g, 6)
-        slow = folds_to_cycle(build_graph(g.n, list(g.edges)), 6,
-                              prune_by_cycle_length=False)
+        slow = _search_fold_closure(g, 6, DEFAULT_MEMO_BUDGET)
         assert fast is not None and slow is not None
         assert _is_cycle_graph(fast.final, 6) and _is_cycle_graph(slow.final, 6)
 
@@ -198,7 +203,7 @@ class TestThreshold:
 
     def test_tree(self):
         res = circular_mixing_threshold(support.path(6))
-        assert res.k == 1 and res.longest_cycle == 0
+        assert res.k == 1 and res.longest_basis_cycle == 0 and res.tested == ()
 
     def test_matches_direct_scan(self):
         for g in support.connected_bipartite_upto_iso(6):
@@ -265,9 +270,11 @@ class TestNonBipartiteFolds:
     def test_memo_budget(self):
         from circmix.kernels import BudgetExceededError
 
-        g = support.grid(3, 4)  # girth 4 forces the closure search for L=8
+        # girth 4 forces the closure search for L=6, and the 8-cycles in its
+        # minimum basis keep the root alive
+        g = pinched_octagon().graph
         with pytest.raises(BudgetExceededError):
-            folds_to_cycle(g, 8, memo_budget=3)
+            folds_to_cycle(g, 6, memo_budget=3)
 
 
 def test_non_bipartite_cannot_reach_even_cycles():
@@ -278,13 +285,11 @@ def test_non_bipartite_cannot_reach_even_cycles():
 
 def test_folds_can_lengthen_the_longest_cycle():
     # two squares sharing a corner, folded at the two far corners: the image
-    # contains a 6-cycle although the original's longest cycle is 4.  This is
-    # why fold searches may only prune by cycle length on the odd-cycle
-    # decision route, where short-cycled states provably mix.
-    from circmix.graphs import longest_cycle_length
-
+    # contains a 6-cycle although the original's longest cycle is 4.  A
+    # cycle-length prune is still sound for every target: it drops only
+    # states that provably cannot fold to the target (see folds_to_cycle).
     g = build_graph(7, [(1, 0), (0, 2), (2, 3), (3, 1),
                         (4, 0), (0, 5), (5, 6), (6, 4)])
-    assert longest_cycle_length(g) == 4
+    assert max(map(len, support.brute_cycle_sets(g, g.n))) == 4
     folded, _ = elementary_fold(g, 1, 4)
-    assert longest_cycle_length(folded) == 6
+    assert max(map(len, support.brute_cycle_sets(folded, folded.n))) == 6

@@ -10,8 +10,7 @@ import support
 from circmix.graphs import (Cycle, SizeGuardError, bipartition, blocks, build_graph,
                             canonical_key, connected_components, distance,
                             enumerate_cycles, fundamental_cycle_basis, girth_cycle,
-                            has_cycle_of_length_at_least, is_cycle_of,
-                            longest_cycle_length, shortest_cycle)
+                            is_cycle_of, longest_basis_cycle, shortest_cycle)
 
 
 class TestBuildGraph:
@@ -198,11 +197,14 @@ class TestCycleHelpers:
         assert girth_cycle(support.path(4)) is None
 
     def test_longest_cycle(self):
+        # two squares sharing the edge 0-3: the outer 6-cycle is the sum of
+        # the squares, so a minimum basis holds only 4-cycles
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 0)])
-        assert longest_cycle_length(g) == 6
-        assert longest_cycle_length(support.path(4)) == 0
-        assert has_cycle_of_length_at_least(g, 6)
-        assert not has_cycle_of_length_at_least(g, 7)
+        assert longest_basis_cycle(g) == 4 == support.brute_longest_basis_cycle(g)
+        assert longest_basis_cycle(support.path(4)) == 0
+        assert longest_basis_cycle(support.cycle(9)) == 9
+        # no vertex cap: a 30-vertex grid's basis is its 20 unit squares
+        assert longest_basis_cycle(support.grid(5, 6)) == 4
 
     def test_searches_match_brute_force(self):
         rng = random.Random(7)
@@ -225,10 +227,7 @@ class TestCycleHelpers:
                 assert is_cycle_of(g, tuple(odd))
             else:
                 assert odd is None
-            assert longest_cycle_length(g) == max(lengths, default=0)
-            for length in range(n + 2):
-                assert has_cycle_of_length_at_least(g, length) == (
-                    length == 0 or any(k >= length for k in lengths))
+            assert longest_basis_cycle(g) == support.brute_longest_basis_cycle(g)
 
 
 class TestCanonicalKey:

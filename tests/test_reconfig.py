@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import support
-from circmix import kernels
+from circmix import kernels, reconfig
 from circmix.circular import (CircularParams, Colouring, edge_weight,
                               enumerate_colourings, shift, validate_colouring)
 from circmix.graphs import Cycle, build_graph, enumerate_cycles, fundamental_cycle_basis
@@ -270,6 +270,18 @@ class TestFixed:
         assert path_walks == 439
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "8c89072961a700713d045bed609d2f45c90d2dd3fdada322531e2ee31235e578"
+
+    def test_tight_path_costs_no_bfs_per_vertex(self, monkeypatch):
+        # a directed tight path with no tight cycle peels away whole, so
+        # core detection runs no BFS from its vertices
+        calls = []
+        real = reconfig.bfs_forest
+        monkeypatch.setattr(reconfig, "bfs_forest",
+                            lambda *args: calls.append(args) or real(*args))
+        g = support.path(200)
+        f = support.colouring(g, P52, tuple(2 * i % 5 for i in range(200)))
+        assert fixed_vertices(f).fixed == frozenset()
+        assert len(calls) <= 2
 
 
 class TestReachabilityCharacterized:
