@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import files, fold, planar, reconfig
@@ -154,21 +153,9 @@ def cmd_reach(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    base = os.path.dirname(os.path.abspath(args.file))
-    first = next((line for _, line in files._content_lines(text)), "")
-    if first == "witness":
-        w = files.parse_witness(text, base_dir=base)
-        ok, failures = reconfig.verify_witness(w)
-        print("PASS" if ok else "FAIL: " + ", ".join(failures))
-        return EXIT_YES if ok else EXIT_NO
-    if first == "fold-trace":
-        tf = files.parse_fold_trace(text)
-        ok, problems = files.verify_fold_trace_file(tf, base_dir=base)
-        print("PASS" if ok else "FAIL: " + "; ".join(problems))
-        return EXIT_YES if ok else EXIT_NO
-    raise ValueError("file is neither a witness nor a fold trace")
+    ok, message = files.verify_certificate(args.file)
+    print(message)
+    return EXIT_YES if ok else EXIT_NO
 
 
 def cmd_fold_search(args) -> int:

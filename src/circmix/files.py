@@ -3,6 +3,8 @@ traces, and DOT export.
 
 Everything is line-oriented and human-auditable; certificates must be
 checkable by eye and by independent tooling.  ``#`` starts a comment.
+``_read`` is the one loop over content lines: every format parses through
+it, so a malformed line is always a ``ParseError`` that names its line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .circular import CircularParams, Colouring
 from .fold import FoldTrace, _is_cycle_graph, replay_trace
 from .graphs import Cycle, Graph, build_graph, induced_subgraph
 from .planar import RotationSystem
-from .reconfig import NonMixingWitness
+from .reconfig import NonMixingWitness, verify_witness
 
 
 class ParseError(ValueError):
@@ -33,51 +35,81 @@ class GraphDocument:
     colourings: dict = field(default_factory=dict)  # name -> colour tuple
 
 
-def _content_lines(text: str):
+def _read(text: str, handle) -> str:
+    """The one loop over content lines (``#`` comments and blank lines
+    dropped); returns the first of them, or "" when there is none.
+
+    ``handle(line)`` parses one line and returns the handler for the lines
+    after it, or None to keep itself.  A ``ParseError`` it raises is a
+    whole-file message and passes through; a ``ValueError``, ``IndexError``
+    or ``ZeroDivisionError`` is the line's fault and becomes
+    ``ParseError("line N: cannot parse ...")``.
+    """
+    first = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        if not line:
+            continue
+        first = first or line
+        try:
+            handle = handle(line) or handle
+        except ParseError:
+            raise
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
+    return first
+
+
+def _read_headed(text: str, header: str, handle) -> None:
+    """``_read`` for a file whose first content line must be ``header``."""
+    def first(line):
+        if line != header:
+            raise ParseError(f"not a {header} file")
+        return handle
+    if not _read(text, first):
+        raise ParseError(f"not a {header} file")
+
+
+def _colours(into: dict, back=None):
+    """Handler reading ``v=c`` entries into ``into``; with ``back``, a line
+    ``end`` closes the block and hands the next line to ``back``."""
+    def entries(line):
+        if back is not None and line == "end":
+            return back
+        for tok in line.split():
+            v, c = tok.split("=")
+            into[int(v)] = int(c)
+    return entries
+
+
+def _ints(value: str) -> tuple:
+    return tuple(int(x) for x in value.split())
 
 
 def parse_graph_document(text: str) -> GraphDocument:
-    n = None
-    edges = []
-    rotations = {}
-    outer = None
-    colourings = {}
-    current_colouring = None
-    for lineno, line in _content_lines(text):
-        try:
-            if current_colouring is not None:
-                if line == "end":
-                    current_colouring = None
-                    continue
-                for tok in line.split():
-                    v, c = tok.split("=")
-                    colourings[current_colouring][int(v)] = int(c)
-                continue
-            if line.startswith("n "):
-                n = int(line.split()[1])
-            elif line.startswith("edge "):
-                _, u, v = line.split()
-                edges.append((int(u), int(v)))
-            elif line.startswith("rotation "):
-                head, rest = line.split(":", 1)
-                v = int(head.split()[1])
-                rotations[v] = tuple(int(x) for x in rest.split())
-            elif line.startswith("outer:"):
-                outer = int(line.split(":", 1)[1])
-            elif line.startswith("colouring "):
-                name = line.split(None, 1)[1].rstrip(":")
-                colourings[name] = {}
-                current_colouring = name
-            else:
-                raise ParseError(f"line {lineno}: unrecognized directive {line!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
+    n = outer = None
+    edges, rotations, colourings = [], {}, {}
+
+    def directive(line):
+        nonlocal n, outer
+        if line.startswith("n "):
+            n = int(line.split()[1])
+        elif line.startswith("edge "):
+            _, u, v = line.split()
+            edges.append((int(u), int(v)))
+        elif line.startswith("rotation "):
+            head, rest = line.split(":", 1)
+            rotations[int(head.split()[1])] = _ints(rest)
+        elif line.startswith("outer:"):
+            outer = int(line.split(":", 1)[1])
+        elif line.startswith("colouring "):
+            name = line.split(None, 1)[1].rstrip(":")
+            colourings[name] = {}
+            return _colours(colourings[name], back=directive)
+        else:
+            raise ValueError("unrecognized directive")
+
+    _read(text, directive)
     if n is None:
         raise ParseError("graph document missing an 'n <count>' line")
     graph = build_graph(n, edges)
@@ -128,13 +160,7 @@ def load_graph_document(path: str) -> GraphDocument:
 
 def parse_colouring_file(text: str) -> dict:
     mapping = {}
-    for lineno, line in _content_lines(text):
-        for tok in line.split():
-            try:
-                v, c = tok.split("=")
-                mapping[int(v)] = int(c)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad colour entry {tok!r}") from exc
+    _read(text, _colours(mapping))
     return mapping
 
 
@@ -166,52 +192,32 @@ def serialize_witness(w: NonMixingWitness, graph_ref: str) -> str:
     return "\n".join(out) + "\n"
 
 
+_WITNESS_FIELDS = {"p": int, "q": int, "weight": int, "required": Fraction,
+                   "cycle": lambda value: Cycle(_ints(value))}
+
+
 def parse_witness(text: str, base_dir: str = ".") -> NonMixingWitness:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "witness":
-        raise ParseError("not a witness file")
-    fields = {}
-    colour_map = {}
-    in_colouring = False
-    for lineno, line in lines[1:]:
-        if in_colouring:
-            if line == "end":
-                in_colouring = False
-                continue
-            for tok in line.split():
-                v, c = tok.split("=")
-                colour_map[int(v)] = int(c)
-            continue
+    fields, colour_map = {}, {}
+
+    def entry(line):
         if line == "colouring:":
-            in_colouring = True
-            continue
-        if ":" not in line:
-            raise ParseError(f"line {lineno}: expected 'key: value'")
-        key, value = line.split(":", 1)
-        fields[key.strip()] = value.strip()
+            return _colours(colour_map, back=entry)
+        key, value = (part.strip() for part in line.split(":", 1))
+        fields[key] = _WITNESS_FIELDS.get(key, str)(value)
+
+    _read_headed(text, "witness", entry)
     for key in ("graph", "p", "q", "cycle", "weight", "required"):
         if key not in fields:
             raise ParseError(f"witness missing field {key!r}")
     doc = load_graph_document(os.path.join(base_dir, fields["graph"]))
-    params = CircularParams(int(fields["p"]), int(fields["q"]))
-    colouring = bind_colouring(colour_map, doc.graph, params)
-    cycle = Cycle(tuple(int(x) for x in fields["cycle"].split()))
-    return NonMixingWitness(colouring=colouring, cycle=cycle,
-                            weight=int(fields["weight"]),
-                            required=Fraction(fields["required"]))
+    params = CircularParams(fields["p"], fields["q"])
+    return NonMixingWitness(colouring=bind_colouring(colour_map, doc.graph, params),
+                            cycle=fields["cycle"], weight=fields["weight"],
+                            required=fields["required"])
 
 
 # ---------------------------------------------------------------------------
 # Fold trace files.
-
-
-@dataclass
-class FoldTraceFile:
-    graph_ref: str
-    component: Optional[tuple]  # original vertex ids, None = whole graph
-    target: Optional[int]
-    steps: tuple  # (kept, merged) pairs
-    final_edges: tuple
 
 
 def serialize_fold_trace(trace: FoldTrace, graph_ref: str,
@@ -229,60 +235,66 @@ def serialize_fold_trace(trace: FoldTrace, graph_ref: str,
     return "\n".join(out) + "\n"
 
 
-def parse_fold_trace(text: str) -> FoldTraceFile:
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "fold-trace":
-        raise ParseError("not a fold-trace file")
-    graph_ref = None
-    component = None
-    target = None
-    steps = []
-    final_edges = []
-    in_final = False
-    for lineno, line in lines[1:]:
-        if in_final:
-            if line == "end":
-                in_final = False
-                continue
-            u, v = line.split()
-            final_edges.append((int(u), int(v)))
-            continue
-        if line.startswith("graph:"):
-            graph_ref = line.split(":", 1)[1].strip()
-        elif line.startswith("component:"):
-            component = tuple(int(x) for x in line.split(":", 1)[1].split())
-        elif line.startswith("target:"):
-            target = int(line.split(":", 1)[1])
+_TRACE_FIELDS = {"graph": str.strip, "component": _ints, "target": int}
+
+
+def verify_fold_trace_file(text: str, base_dir: str = "."):
+    """Parse a fold trace and replay it against its referenced graph;
+    returns (ok, problems)."""
+    fields = {"component": None, "target": None}
+    steps, final_edges = [], []
+
+    def entry(line):
+        key, colon, value = line.partition(":")
+        if colon and key in _TRACE_FIELDS:
+            fields[key] = _TRACE_FIELDS[key](value)
         elif line.startswith("fold "):
             _, a, b = line.split()
             steps.append((int(a), int(b)))
         elif line == "final:":
-            in_final = True
+            return final
         else:
-            raise ParseError(f"line {lineno}: unrecognized trace line {line!r}")
-    if graph_ref is None:
+            raise ValueError("unrecognized trace line")
+
+    def final(line):
+        if line == "end":
+            return entry
+        u, v = line.split()
+        final_edges.append((int(u), int(v)))
+
+    _read_headed(text, "fold-trace", entry)
+    if "graph" not in fields:
         raise ParseError("fold trace missing its graph reference")
-    return FoldTraceFile(graph_ref=graph_ref, component=component, target=target,
-                        steps=tuple(steps), final_edges=tuple(final_edges))
-
-
-def verify_fold_trace_file(tf: FoldTraceFile, base_dir: str = "."):
-    """Replay the trace against its referenced graph; returns (ok, messages)."""
-    problems = []
-    doc = load_graph_document(os.path.join(base_dir, tf.graph_ref))
-    source = doc.graph
-    if tf.component is not None:
-        source, _ = induced_subgraph(source, tf.component)
+    source = load_graph_document(os.path.join(base_dir, fields["graph"])).graph
+    if fields["component"] is not None:
+        source, _ = induced_subgraph(source, fields["component"])
     try:
-        trace = replay_trace(source, tf.steps)
+        trace = replay_trace(source, steps)
     except ValueError as exc:
         return False, [f"replay failed: {exc}"]
-    if frozenset((min(u, v), max(u, v)) for u, v in tf.final_edges) != trace.final.edges:
+    problems = []
+    if frozenset((min(u, v), max(u, v)) for u, v in final_edges) != trace.final.edges:
         problems.append("final edge list does not match the replayed graph")
-    if tf.target is not None:
-        if not _is_cycle_graph(trace.final, tf.target):
-            problems.append(f"final graph is not a {tf.target}-cycle")
+    target = fields["target"]
+    if target is not None and not _is_cycle_graph(trace.final, target):
+        problems.append(f"final graph is not a {target}-cycle")
     return not problems, problems
+
+
+def verify_certificate(path: str) -> tuple:
+    """Re-check the witness or fold trace at ``path`` from scratch, chosen by
+    its first line; returns (ok, "PASS" or "FAIL: <checks that failed>")."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    base = os.path.dirname(os.path.abspath(path))
+    header = _read(text, lambda line: None)
+    if header == "witness":
+        ok, failures = verify_witness(parse_witness(text, base_dir=base))
+        return ok, "PASS" if ok else "FAIL: " + ", ".join(failures)
+    if header == "fold-trace":
+        ok, problems = verify_fold_trace_file(text, base_dir=base)
+        return ok, "PASS" if ok else "FAIL: " + "; ".join(problems)
+    raise ParseError("file is neither a witness nor a fold trace")
 
 
 # ---------------------------------------------------------------------------

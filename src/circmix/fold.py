@@ -273,7 +273,7 @@ def folds_to_cycle(g: Graph, length: int,
         # homomorphisms preserve closed-walk parity, so bipartite graphs
         # never reach odd cycles and non-bipartite graphs never reach even
         return None
-    if bip.valid and length % 2 == 0 and length >= 4:
+    if bip.valid:
         shortest = girth_cycle(g)
         if shortest is not None and len(shortest) >= length:
             return _guided_cycle_trace(g, length)

@@ -127,10 +127,6 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
     def directed_edges(self) -> list:
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]

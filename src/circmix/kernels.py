@@ -72,7 +72,6 @@ def state_blocks(g, p: int, q: int, pinned=(),
     if n == 0:
         yield np.zeros((1, 0), dtype=np.int16)
         return
-    digit_weights(n, p)  # reject instances whose codes would overflow
     compat = compat_table(p, q)
     indptr, indices = adjacency_csr(g)
     earlier = [[u for u in indices[indptr[v]:indptr[v + 1]] if u < v]
@@ -113,6 +112,7 @@ def state_blocks(g, p: int, q: int, pinned=(),
 def enumerate_states(g, p: int, q: int,
                      budget: int = DEFAULT_STATE_BUDGET) -> np.ndarray:
     """All proper colour vectors of g at (p,q), lexicographic, shape (S, n)."""
+    digit_weights(g.n, p)  # every caller codes this table: refuse past 63 bits
     empty = np.zeros((0, g.n), dtype=np.int16)
     return np.concatenate([empty, *state_blocks(g, p, q, budget=budget)])
 

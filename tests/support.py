@@ -15,7 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from circmix.circular import CircularParams, Colouring
+from circmix.generators import grid_graph
 from circmix.graphs import Graph, build_graph, canonical_key, is_connected
+from circmix.planar import RotationSystem, faces
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,44 @@ def random_connected_bipartite(n: int, count: int, seed: int) -> list:
         if is_connected(g):
             out.append(g)
     return out
+
+
+def random_plane_bipartite(rng: random.Random) -> tuple:
+    """An embedded bipartite plane graph: a grid after 0-8 random edits.
+
+    With probability 0.6 an edit pinches a 4-face walk (a, b, c, d) with a
+    new vertex x joined to a and c inside it, which splits it into the
+    4-faces (a, x, c, d) and (x, a, b, c); otherwise it deletes a random
+    edge whose removal keeps the graph connected.  Returns (graph, rotation).
+    """
+    gg = grid_graph(rng.randint(2, 5), rng.randint(2, 6))
+    n, edges = gg.graph.n, set(gg.graph.edges)
+    rings = [list(ring) for ring in gg.rotation.rotation]
+
+    def embedded():
+        g = build_graph(n, edges)
+        rot = RotationSystem(rotation=tuple(tuple(ring) for ring in rings))
+        return g, rot, faces(g, rot)  # faces checks Euler's formula
+
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.6:
+            quads = [f for f in embedded()[2].faces if len(f) == len(set(f)) == 4]
+            if not quads:
+                continue
+            a, b, c, d = rng.choice(quads)
+            rings[a].insert(rings[a].index(d) + 1, n)
+            rings[c].insert(rings[c].index(b) + 1, n)
+            rings.append([a, c])
+            edges |= {(a, n), (c, n)}
+            n += 1
+        else:
+            u, v = rng.choice(sorted(edges))
+            if is_connected(build_graph(n, edges - {(u, v)})):
+                edges.discard((u, v))
+                rings[u].remove(v)
+                rings[v].remove(u)
+    g, rot, _ = embedded()
+    return g, rot
 
 
 def joined_odd_cycles(rng: random.Random, p: int, q: int):

@@ -133,6 +133,18 @@ class TestMix:
                            "--method", "planar")
         assert code == 4 and "rotation" in err
 
+    def test_wind_needs_no_state_codes(self, tmp_path, capsys):
+        # C30 at (5,2) has state codes past 63 bits: the wind scan makes
+        # none and answers, while the oracle's coded table is refused at once
+        graph = write_graph(tmp_path, support.cycle(30), "c30.txt")
+        cert = str(tmp_path / "c30.wit")
+        code, out, _ = run(capsys, "mix", graph, "-p", "5", "-q", "2",
+                           "--method", "wind", "--certificate", cert)
+        assert (code, out) == (1, f"NOT-MIXING\ncertificate: {cert}\n")
+        assert run(capsys, "verify", cert)[:2] == (0, "PASS\n")
+        code, _, err = run(capsys, "mix", graph, "-p", "5", "-q", "2", "--method", "oracle")
+        assert code == 3 and "exceed 63 bits" in err
+
     def test_budget_exit_code(self, tmp_path, capsys):
         p6 = write_graph(tmp_path, support.path(6), "p6.txt")
         code, _, err = run(capsys, "mix", p6, "-p", "7", "-q", "2",
@@ -256,6 +268,32 @@ class TestVerify:
         bad.write_text("hello\n")
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 4
+
+    @staticmethod
+    def _edit_line(path, lineno, start, line):
+        lines = open(path).read().splitlines()
+        assert lines[lineno - 1].startswith(start)
+        lines[lineno - 1] = line
+        open(path, "w").write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("lineno, start, line", [(19, "required:", "required: 1/0"),
+                                                     (9, "3=", "3")])
+    def test_malformed_witness_line_is_named(self, tmp_path, capsys, lineno, start, line):
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        cert = str(tmp_path / "w.txt")
+        run(capsys, "mix", c10, "-p", "5", "-q", "2", "--method", "wind",
+            "--certificate", cert)
+        self._edit_line(cert, lineno, start, line)
+        assert run(capsys, "verify", cert) == (
+            4, "", f"error: line {lineno}: cannot parse {line!r}\n")
+
+    def test_malformed_trace_line_is_named(self, tmp_path, capsys):
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        trace = str(tmp_path / "t.txt")
+        run(capsys, "fold-search", c10, "-L", "6", "--out", trace)
+        self._edit_line(trace, 5, "fold ", "fold 0")
+        assert run(capsys, "verify", trace) == (
+            4, "", "error: line 5: cannot parse 'fold 0'\n")
 
     @pytest.mark.parametrize("length", [12, 14])
     def test_wind_decides_past_full_table_budget(self, tmp_path, capsys, length):

@@ -7,7 +7,7 @@ from circmix.circular import CircularParams
 from circmix.generators import (c4_pinch_graph, cube_graph, cycle_graph,
                                 grid_graph, mirror_rotation, pinched_octagon,
                                 theta_graph)
-from circmix.graphs import Cycle, build_graph
+from circmix.graphs import Cycle, build_graph, longest_basis_cycle
 from circmix.planar import (EmbeddingError, RotationSystem, face_criterion, faces,
                             minimal_non_mixing_even_cycle, planar_mixing_decider,
                             region_split, separating_cycles)
@@ -246,6 +246,28 @@ class TestDecider:
         inner = rs.interior_piece.graph
         assert is_mixing_oracle(inner, P52).status == "not-mixing"
         assert is_mixing_oracle(gg.graph, P52).status == "mixing"
+
+
+def test_verdict_is_the_basis_bound():
+    """At 3 <= p/q < 4 the decider says MIXING exactly when a minimum cycle
+    basis has only cycles shorter than 6 (``longest_basis_cycle``).
+
+    * In a 2-connected plane graph the face boundaries span the cycle
+      space, and all but one of them form a basis, so a piece with at most
+      one face of length >= 6 has a basis of 4-cycles.
+    * A separating 4-cycle splits G into two closed halves whose cycle
+      spaces together span G's, and blocks split the cycle space directly;
+      so a MIXING tree means G's cycle space is spanned by 4-cycles.
+    * Imbalance is linear over the cycle space, so a basis of balanced
+      cycles means G mixes.  The two methods agree wherever the decider is
+      right.
+    """
+    for seed in range(60):
+        g, rot = support.random_plane_bipartite(random.Random(seed))
+        for params in (P72, P31, CircularParams(10, 3)):
+            verdict, _ = planar_mixing_decider(g, rot, params)
+            bound = longest_basis_cycle(g) < minimal_non_mixing_even_cycle(params)
+            assert verdict.status == ("mixing" if bound else "not-mixing"), (seed, params)
 
 
 def edge_cutset_pieces(g):
