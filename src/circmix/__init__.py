@@ -4,7 +4,7 @@ recolouring graphs.
 The package answers, for a graph G and parameters (p,q): starting from one
 (p,q)-circular colouring, can every other one be reached by recolouring a
 single vertex at a time?  It provides an exhaustive oracle, a cycle-wind
-characterization with verifiable NO-certificates (for 2 < p/q < 4), a
+characterization with verifiable certificates (for 2 < p/q < 4), a
 fold-based criterion for odd-cycle targets, and a polynomial decision
 procedure for embedded planar graphs at 3 <= p/q < 4.
 """
@@ -16,9 +16,11 @@ from .graphs import (Bipartition, BlockDecomposition, Cycle, CycleBasis, Graph,
                      bipartition, blocks, build_graph, canonical_key, distance,
                      enumerate_cycles, fundamental_cycle_basis)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
-from .reconfig import (FixedSetReport, MixingVerdict, NonMixingWitness,
-                       col_neighbours, fixed_vertices, is_mixing_oracle,
-                       is_mixing_wind, is_reachable_characterized,
-                       is_reachable_oracle, locked_vertices, verify_witness)
+from .reconfig import (FixedSetReport, MixingBasis, MixingVerdict,
+                       NonMixingWitness, col_neighbours, fixed_vertices,
+                       is_mixing_oracle, is_mixing_wind,
+                       is_reachable_characterized, is_reachable_oracle,
+                       locked_vertices, mixing_basis, verify_mixing_basis,
+                       verify_witness)
 
 __version__ = "0.1.0"

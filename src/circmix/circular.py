@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .graphs import Cycle, Graph, build_graph
+from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,23 @@ def require_ratio_open(params: CircularParams) -> None:
     r = params.ratio
     if not (2 < r < 4):
         raise ValueError(f"p/q must lie strictly between 2 and 4, got {r}")
+
+
+def minimal_non_mixing_even_cycle(params: CircularParams) -> int:
+    """Smallest even L with C_L not (p,q)-mixing, for 2 < p/q < 4:
+    2 * ceil(p / (p - 2q)).
+
+    C_L mixes exactly when every colouring has weight (L/2)*p.  Edge
+    weights lie in [q, p-q] and can be chosen freely around the cycle, and
+    a cycle's weight is a multiple of p, so the weights that occur are the
+    multiples of p in [L*q, L*(p-q)].  A wrapped weight (L/2 - 1)*p (and its
+    reflection (L/2 + 1)*p) is therefore reachable exactly when
+    L*q <= (L/2 - 1)*p, that is L/2 >= p / (p - 2q).  So no cycle shorter
+    than this is ever unbalanced.
+    """
+    require_ratio_open(params)
+    p, q = params.p, params.q
+    return 2 * -(-p // (p - 2 * q))
 
 
 @dataclass(frozen=True)
@@ -134,11 +152,16 @@ def cycle_wind(f: Colouring, c: Cycle) -> WindReport:
     return WindReport(cycle=c, weight=weight, wind=wind, required=required, wrapped=wrapped)
 
 
-def enumerate_colourings(g: Graph, params: CircularParams) -> Iterator[Colouring]:
+def enumerate_colourings(g: Graph, params: CircularParams,
+                         budget: int = DEFAULT_STATE_BUDGET) -> Iterator[Colouring]:
     """Stream every proper colouring in lexicographic colour-vector order.
 
     Backtracking with forward checking on the circular interval constraint;
-    meant for desk-scale graphs (the empty stream means uncolourable).
+    meant for desk-scale graphs (the empty stream means uncolourable).  As
+    in ``kernels.state_blocks``, the proper partial colourings made at each
+    vertex are counted, and one more than ``budget`` at any vertex raises
+    ``BudgetExceededError``, so an uncolourable graph cannot backtrack
+    unboundedly.
     """
     n = g.n
     p = params.p
@@ -147,10 +170,16 @@ def enumerate_colourings(g: Graph, params: CircularParams) -> Iterator[Colouring
         return
     earlier = [tuple(u for u in g.adjacency[v] if u < v) for v in range(n)]
     assignment = [0] * n
+    made = [0] * n
 
     def assign(v: int) -> Iterator[Colouring]:
         for c in range(p):
             if all(params.compatible(assignment[u], c) for u in earlier[v]):
+                made[v] += 1
+                if made[v] > budget:
+                    what = ("proper states" if v == n - 1
+                            else f"partial states at vertex {v}")
+                    raise BudgetExceededError(f"more than {budget} {what}")
                 assignment[v] = c
                 if v + 1 == n:
                     yield Colouring(params=params, colours=tuple(assignment), host=g)

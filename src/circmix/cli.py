@@ -112,6 +112,7 @@ def cmd_mix(args) -> int:
         print(explanation.render())
         if args.explain:
             _write(args.explain, json.dumps(explanation.to_dict(), indent=2) + "\n")
+    text = None
     if verdict.status == "not-mixing" and args.certificate:
         if args.method == "fold":
             component, trace = trace_payload
@@ -122,6 +123,11 @@ def cmd_mix(args) -> int:
             if witness is None:
                 witness = reconfig.is_mixing_wind(g, params, budget=args.budget).witness
             text = files.serialize_witness(witness, graph_ref=args.graph)
+    elif (verdict.mixing and args.certificate and args.method == "wind"
+          and verdict.state_count is None):  # decided by the basis, no scan
+        text = files.serialize_mixing_basis(reconfig.mixing_basis(g, params),
+                                            graph_ref=args.graph)
+    if text is not None:
         _write(args.certificate, text)
         print(f"certificate: {args.certificate}")
     if args.dot:
@@ -207,9 +213,10 @@ def build_parser() -> _Parser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                       help="cap on enumerated colouring states (the wind "
-                       "method counts only those with the least vertex of each "
-                       "component at colour 0)")
+                       help="cap on enumerated colouring states at any one "
+                       "vertex (the wind method counts only those with the "
+                       "least vertex of each component at colour 0, or on a "
+                       "non-bipartite graph the partial colourings it tries)")
 
     p_mix = sub.add_parser("mix", help="decide whether a graph mixes at (p,q)")
     p_mix.add_argument("graph")
@@ -218,7 +225,10 @@ def build_parser() -> _Parser:
                        default="oracle")
     add_budget(p_mix)
     p_mix.add_argument("--certificate", default=None,
-                       help="where to write the NO-certificate")
+                       help="where to write the certificate: a witness or "
+                       "fold trace for NOT-MIXING, and for --method wind the "
+                       "cycle basis behind a MIXING answer found without a "
+                       "scan")
     p_mix.add_argument("--explain", default=None,
                        help="write the planar decision tree as JSON "
                        "(--method planar only; otherwise exit 4)")
@@ -238,7 +248,8 @@ def build_parser() -> _Parser:
     add_budget(p_reach)
     p_reach.set_defaults(func=cmd_reach)
 
-    p_verify = sub.add_parser("verify", help="re-check a witness or fold trace")
+    p_verify = sub.add_parser("verify",
+                              help="re-check a witness, fold trace or mixing basis")
     p_verify.add_argument("file")
     p_verify.set_defaults(func=cmd_verify)
 

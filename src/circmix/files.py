@@ -1,5 +1,5 @@
 """Plain-text line formats: graph documents, colourings, witnesses, fold
-traces, and DOT export.
+traces, mixing bases, and DOT export.
 
 Everything is line-oriented and human-auditable; certificates must be
 checkable by eye and by independent tooling.  ``#`` starts a comment.
@@ -21,7 +21,8 @@ from .circular import CircularParams, Colouring
 from .fold import FoldTrace, _is_cycle_graph, replay_trace
 from .graphs import Cycle, Graph, build_graph, induced_subgraph
 from .planar import RotationSystem
-from .reconfig import NonMixingWitness, verify_witness
+from .reconfig import (MixingBasis, NonMixingWitness, verify_mixing_basis,
+                       verify_witness)
 
 
 class ParseError(ValueError):
@@ -35,9 +36,18 @@ class GraphDocument:
     colourings: dict = field(default_factory=dict)  # name -> colour tuple
 
 
+def _content_lines(text: str):
+    """(line number, line) for each line left once ``#`` comments and
+    blank lines are dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _read(text: str, handle) -> str:
-    """The one loop over content lines (``#`` comments and blank lines
-    dropped); returns the first of them, or "" when there is none.
+    """The one loop over content lines (``_content_lines``); returns the
+    first of them, or "" when there is none.
 
     ``handle(line)`` parses one line and returns the handler for the lines
     after it, or None to keep itself.  A ``ParseError`` it raises is a
@@ -46,10 +56,7 @@ def _read(text: str, handle) -> str:
     ``ParseError("line N: cannot parse ...")``.
     """
     first = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         first = first or line
         try:
             handle = handle(line) or handle
@@ -112,7 +119,18 @@ def parse_graph_document(text: str) -> GraphDocument:
     _read(text, directive)
     if n is None:
         raise ParseError("graph document missing an 'n <count>' line")
-    graph = build_graph(n, edges)
+    try:
+        graph = build_graph(n, edges)
+    except ValueError:
+        # n may follow the edges, so a refused edge is named only now; every
+        # content line starting "edge " was read as an edge directive
+        for lineno, line in _content_lines(text):
+            if line.startswith("edge "):
+                try:
+                    build_graph(n, [_ints(line[5:])])
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+        raise
     rotation = None
     if rotations:
         missing = [v for v in range(n) if graph.adjacency[v] and v not in rotations]
@@ -217,6 +235,38 @@ def parse_witness(text: str, base_dir: str = ".") -> NonMixingWitness:
 
 
 # ---------------------------------------------------------------------------
+# Mixing-basis files: the cycles behind a wind MIXING answer with no scan.
+
+
+def serialize_mixing_basis(b: MixingBasis, graph_ref: str) -> str:
+    out = ["mixing-basis", f"graph: {graph_ref}", f"p: {b.p}", f"q: {b.q}"]
+    out.extend("cycle: " + " ".join(str(v) for v in c.vertices) for c in b.cycles)
+    return "\n".join(out) + "\n"
+
+
+_BASIS_FIELDS = {"p": int, "q": int}
+
+
+def parse_mixing_basis(text: str, base_dir: str = ".") -> MixingBasis:
+    fields, cycles = {}, []
+
+    def entry(line):
+        key, value = (part.strip() for part in line.split(":", 1))
+        if key == "cycle":
+            cycles.append(Cycle(_ints(value)))
+        else:
+            fields[key] = _BASIS_FIELDS.get(key, str)(value)
+
+    _read_headed(text, "mixing-basis", entry)
+    for key in ("graph", "p", "q"):
+        if key not in fields:
+            raise ParseError(f"mixing basis missing field {key!r}")
+    doc = load_graph_document(os.path.join(base_dir, fields["graph"]))
+    return MixingBasis(graph=doc.graph, p=fields["p"], q=fields["q"],
+                       cycles=tuple(cycles))
+
+
+# ---------------------------------------------------------------------------
 # Fold trace files.
 
 
@@ -282,19 +332,23 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
 
 
 def verify_certificate(path: str) -> tuple:
-    """Re-check the witness or fold trace at ``path`` from scratch, chosen by
-    its first line; returns (ok, "PASS" or "FAIL: <checks that failed>")."""
+    """Re-check the witness, fold trace or mixing basis at ``path`` from
+    scratch, chosen by its first line; returns (ok, "PASS" or
+    "FAIL: <checks that failed>")."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
     header = _read(text, lambda line: None)
-    if header == "witness":
-        ok, failures = verify_witness(parse_witness(text, base_dir=base))
-        return ok, "PASS" if ok else "FAIL: " + ", ".join(failures)
     if header == "fold-trace":
         ok, problems = verify_fold_trace_file(text, base_dir=base)
         return ok, "PASS" if ok else "FAIL: " + "; ".join(problems)
-    raise ParseError("file is neither a witness nor a fold trace")
+    if header == "witness":
+        ok, failures = verify_witness(parse_witness(text, base_dir=base))
+    elif header == "mixing-basis":
+        ok, failures = verify_mixing_basis(parse_mixing_basis(text, base_dir=base))
+    else:
+        raise ParseError("file is not a witness, a fold trace or a mixing basis")
+    return ok, "PASS" if ok else "FAIL: " + ", ".join(failures)
 
 
 # ---------------------------------------------------------------------------

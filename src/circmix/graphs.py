@@ -9,8 +9,9 @@ certificates are reproducible.
 (undirected graphs pass ``g.adjacency``; the tight digraph and the planar
 dual pass their own neighbour lists), and ``tree_path`` reads a path out of
 its parent array.  ``shortest_cycle`` keeps its own early-exit BFS.
-``longest_basis_cycle`` is the one cycle-length bound (for the fold prune and
-the threshold scan); it takes polynomial time, so it has no vertex cap.
+``minimum_cycle_basis`` is the one basis routine behind every cycle-length
+bound (the fold prune, the threshold scan and the wind shortcut); it takes
+polynomial time, so it has no vertex cap.
 """
 
 from __future__ import annotations
@@ -304,15 +305,17 @@ def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
     return best
 
 
-def longest_basis_cycle(g: Graph) -> int:
-    """Length of the longest cycle in a minimum cycle basis (0 if acyclic).
+def minimum_cycle_basis(g: Graph) -> list:
+    """A minimum cycle basis, shortest first, as (length, edges) pairs where
+    ``edges`` is an int bitset over ``sorted(g.edges)``; ``edge_set_cycle``
+    turns one into its vertex sequence.  Empty when g is acyclic.
 
     Horton (1987): for each root r and edge u-v whose BFS tree paths r..u
     and r..v meet only at r, those paths closed by u-v form a candidate
     cycle, and the candidates hold a minimum basis.  Taking them shortest
-    first and keeping each one GF(2)-independent of those kept (edge sets
-    as int bitsets) builds one.  Every minimum basis has the same lengths,
-    so the answer does not depend on the order of ties.
+    first and keeping each one GF(2)-independent of those kept builds one.
+    Every minimum basis has the same lengths, so they do not depend on the
+    order of ties.
     """
     bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
     candidates = set()
@@ -330,19 +333,61 @@ def longest_basis_cycle(g: Graph) -> int:
             length = depth[u] + depth[v] + 1
             if length >= 3 and branch[u] != branch[v]:
                 candidates.add((length, path_edges[u] | path_edges[v] | b))
-    rank = g.m - g.n + len(connected_components(g))
-    kept, longest = {}, 0
-    for length, cycle in sorted(candidates):
-        if len(kept) == rank:
+    rank = cycle_space_dimension(g)
+    basis, rows = [], {}
+    for length, edges in sorted(candidates):
+        if len(basis) == rank:
             break
-        while cycle:
-            lead = cycle.bit_length()
-            if lead not in kept:
-                kept[lead] = cycle
-                longest = length
-                break
-            cycle ^= kept[lead]
-    return longest
+        if _independent(rows, edges):
+            basis.append((length, edges))
+    return basis
+
+
+def longest_basis_cycle(g: Graph) -> int:
+    """Length of the longest cycle in a minimum cycle basis (0 if acyclic)."""
+    basis = minimum_cycle_basis(g)
+    return basis[-1][0] if basis else 0
+
+
+def cycle_space_dimension(g: Graph) -> int:
+    """m - n + c: the size of every cycle basis of g."""
+    return g.m - g.n + len(connected_components(g))
+
+
+def cycle_rank(g: Graph, cycles) -> int:
+    """GF(2) rank of the edge sets of ``cycles``, cycles of g."""
+    index = {e: i for i, e in enumerate(sorted(g.edges))}
+    rows = {}
+    return sum(_independent(rows, sum(1 << index[min(e), max(e)]
+                                      for e in c.directed_edges()))
+               for c in cycles)
+
+
+def _independent(rows: dict, edges: int) -> bool:
+    """Reduce the bitset ``edges`` by ``rows`` (leading bit -> row) and keep
+    what is left as a new row; False when nothing is left."""
+    while edges:
+        lead = edges.bit_length()
+        if lead not in rows:
+            rows[lead] = edges
+            return True
+        edges ^= rows[lead]
+    return False
+
+
+def edge_set_cycle(g: Graph, edges: int) -> Cycle:
+    """The cycle whose edge set is the bitset ``edges`` over ``sorted(g.edges)``."""
+    ends = {}
+    for i, (u, v) in enumerate(sorted(g.edges)):
+        if edges >> i & 1:
+            ends.setdefault(u, []).append(v)
+            ends.setdefault(v, []).append(u)
+    walk = [min(ends)]
+    walk.append(ends[walk[0]][0])
+    while len(walk) < len(ends):
+        a, b = ends[walk[-1]]
+        walk.append(b if a == walk[-2] else a)
+    return Cycle.from_vertices(walk)
 
 
 @dataclass(frozen=True)

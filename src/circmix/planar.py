@@ -7,8 +7,8 @@ graph with no short separating cycles, mixing reduces to counting long
 faces; separating 4-cycles are split away first, which is exactly what the
 3 <= p/q < 4 range needs since the minimal non-mixing even cycle there is
 the 6-cycle.  That threshold comes in closed form from the wind
-characterization (``minimal_non_mixing_even_cycle``); the decider runs no
-colouring enumeration.
+characterization (``circular.minimal_non_mixing_even_cycle``, importable
+from here too); the decider runs no colouring enumeration.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .circular import CircularParams, require_ratio_open
+from .circular import CircularParams, minimal_non_mixing_even_cycle
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, blocks, build_graph,
                      connected_components, enumerate_cycles, is_connected,
                      is_cycle_of)
@@ -225,22 +225,6 @@ def face_criterion(fs: FaceSet, threshold: int):
     """Count faces of length >= threshold; mixing iff at most one."""
     count = sum(1 for ln in fs.lengths if ln >= threshold)
     return count, count <= 1
-
-
-def minimal_non_mixing_even_cycle(params: CircularParams) -> int:
-    """Smallest even L with C_L not (p,q)-mixing, for 2 < p/q < 4:
-    2 * ceil(p / (p - 2q)).
-
-    C_L mixes exactly when every colouring has weight (L/2)*p.  Edge
-    weights lie in [q, p-q] and can be chosen freely around the cycle, and
-    a cycle's weight is a multiple of p, so the weights that occur are the
-    multiples of p in [L*q, L*(p-q)].  A wrapped weight (L/2 - 1)*p (and its
-    reflection (L/2 + 1)*p) is therefore reachable exactly when
-    L*q <= (L/2 - 1)*p, that is L/2 >= p / (p - 2q).
-    """
-    require_ratio_open(params)
-    p, q = params.p, params.q
-    return 2 * -(-p // (p - 2 * q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The recolouring graph as an implicit object: exhaustive mixing and
 reachability oracles, locked/fixed vertex analysis, and the cycle-wind
-decision procedure with extractable NO-certificates.
+decision procedure with checkable certificates.
 
 Two colourings are adjacent when they differ at exactly one vertex.  A graph
 "mixes" at (p,q) when that state graph is connected.  For 2 < p/q < 4 this
@@ -8,6 +8,12 @@ is equivalent to every cycle having weight (|E|/2)*p under every colouring,
 which is what the wind decider checks on a fundamental cycle basis (the
 per-edge labels 2W-p and W_f-W_g are antisymmetric, so their cycle sums are
 linear over the cycle space and a basis check is exact).
+
+No cycle shorter than T = 2*ceil(p/(p-2q)) is ever unbalanced, so a
+bipartite graph with a minimum cycle basis of cycles shorter than T mixes
+without any colouring being scanned.  That basis is the YES-certificate
+(``MixingBasis``); a wrapped cycle under one colouring is the
+NO-certificate (``NonMixingWitness``).
 """
 
 from __future__ import annotations
@@ -20,19 +26,20 @@ import numpy as np
 
 from . import kernels
 from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
-                       enumerate_colourings, require_ratio_open, validate_colouring,
-                       walk_weight)
+                       enumerate_colourings, minimal_non_mixing_even_cycle,
+                       require_ratio_open, validate_colouring, walk_weight)
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components,
-                     fundamental_cycle_basis, is_cycle_of, shortest_cycle,
-                     tree_path)
+                     cycle_rank, cycle_space_dimension, edge_set_cycle,
+                     fundamental_cycle_basis, is_cycle_of, minimum_cycle_basis,
+                     shortest_cycle, tree_path)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 
 __all__ = [
-    "MixingVerdict", "NonMixingWitness", "FixedSetReport",
+    "MixingVerdict", "NonMixingWitness", "MixingBasis", "FixedSetReport",
     "col_neighbours", "is_mixing_oracle", "is_reachable_oracle",
     "locked_vertices", "fixed_vertices", "is_reachable_characterized",
     "reachability_signature", "is_mixing_wind", "verify_witness",
-    "BudgetExceededError",
+    "mixing_basis", "verify_mixing_basis", "BudgetExceededError",
 ]
 
 
@@ -51,10 +58,27 @@ class NonMixingWitness:
 
 
 @dataclass(frozen=True)
+class MixingBasis:
+    """Cycles spanning the cycle space of a bipartite graph, each shorter
+    than 2*ceil(p/(p-2q)): the YES-certificate of a wind verdict reached
+    without a scan.
+
+    ``p`` and ``q`` stay plain integers so that a ratio outside (2,4) is a
+    failed check rather than a parameter error.
+    """
+
+    graph: Graph
+    p: int
+    q: int
+    cycles: tuple  # tuple of Cycle
+
+
+@dataclass(frozen=True)
 class MixingVerdict:
     status: str  # "mixing" | "not-mixing" | "vacuous"
     # Proper colourings; None when not counted: a wind NO verdict stops at
-    # the first wrapped colouring, and fold and planar verdicts count none.
+    # the first wrapped colouring, a wind YES from a short cycle basis scans
+    # none, and fold and planar verdicts count none.
     state_count: Optional[int] = None
     component_count: Optional[int] = None
     witness: Optional[NonMixingWitness] = None
@@ -385,15 +409,48 @@ def _make_witness(f: Colouring, vertices: tuple) -> NonMixingWitness:
                             required=required)
 
 
+def _short_basis(g: Graph, params: CircularParams) -> Optional[list]:
+    """A minimum cycle basis of g (``minimum_cycle_basis`` pairs) when each
+    of its cycles is shorter than ``minimal_non_mixing_even_cycle``, else
+    None."""
+    basis = minimum_cycle_basis(g)
+    if basis and basis[-1][0] >= minimal_non_mixing_even_cycle(params):
+        return None
+    return basis
+
+
 def is_mixing_wind(g: Graph, params: CircularParams,
                    budget: int = DEFAULT_STATE_BUDGET) -> MixingVerdict:
     """Mixing via the cycle-wind characterization (2 < p/q < 4).
 
-    Scans proper colourings; any fundamental cycle whose weight misses
-    (|E|/2)*p yields a wrapped cycle, shrunk across chords into a concise
-    witness.  Non-bipartite colourable inputs short-circuit through an odd
-    cycle, which is always wrapped.  The reported witness is deterministic:
+    Non-bipartite colourable inputs short-circuit through an odd cycle,
+    which is always wrapped; finding a first colouring counts partial
+    colourings against ``budget``.  A bipartite graph whose minimum cycle
+    basis has only cycles shorter than 2*ceil(p/(p-2q)) mixes with no scan
+    (``state_count`` None; ``mixing_basis`` gives the certificate), since
+    no shorter cycle is ever unbalanced and imbalance is linear over the
+    cycle space.  Every other graph is scanned: any fundamental cycle whose
+    weight misses (|E|/2)*p yields a wrapped cycle, shrunk across chords
+    into a concise witness.  The reported witness is deterministic:
     lexicographically least colouring, then shortest unbalanced basis cycle.
+    """
+    require_ratio_open(params)
+    if not bipartition(g).valid:
+        f0 = next(enumerate_colourings(g, params, budget=budget), None)
+        if f0 is None:
+            return MixingVerdict(status="vacuous", state_count=0)
+        odd = shortest_cycle(g, odd=True)
+        if odd is None:
+            raise AssertionError("graph claimed non-bipartite but no odd cycle found")
+        witness = _make_witness(f0, odd)
+        return MixingVerdict(status="not-mixing", witness=witness)
+    if _short_basis(g, params) is not None:
+        return MixingVerdict(status="mixing")
+    return _wind_scan(g, params, budget)
+
+
+def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
+    """The balance scan of a bipartite graph.
 
     Only colourings giving the least vertex of each component colour 0 are
     scanned, block by block, and the scan stops at the first unbalanced
@@ -402,17 +459,6 @@ def is_mixing_wind(g: Graph, params: CircularParams,
     least unbalanced colouring is among them.  ``budget`` caps those
     pinned states.
     """
-    require_ratio_open(params)
-    bip = bipartition(g)
-    if not bip.valid:
-        f0 = next(enumerate_colourings(g, params), None)
-        if f0 is None:
-            return MixingVerdict(status="vacuous", state_count=0)
-        odd = shortest_cycle(g, odd=True)
-        if odd is None:
-            raise AssertionError("graph claimed non-bipartite but no odd cycle found")
-        witness = _make_witness(f0, odd)
-        return MixingVerdict(status="not-mixing", witness=witness)
     roots = [c[0] for c in connected_components(g)]
     cycles = fundamental_cycle_basis(g).fundamental
     pinned_count = 0
@@ -431,6 +477,40 @@ def is_mixing_wind(g: Graph, params: CircularParams,
         return MixingVerdict(status="vacuous", state_count=0)
     return MixingVerdict(status="mixing",
                          state_count=pinned_count * params.p ** len(roots))
+
+
+def mixing_basis(g: Graph, params: CircularParams) -> Optional[MixingBasis]:
+    """The certificate behind a MIXING answer of ``is_mixing_wind`` that
+    scanned nothing; None for a graph it scans or finds not bipartite."""
+    require_ratio_open(params)
+    basis = _short_basis(g, params) if bipartition(g).valid else None
+    if basis is None:
+        return None
+    return MixingBasis(graph=g, p=params.p, q=params.q,
+                       cycles=tuple(edge_set_cycle(g, edges) for _, edges in basis))
+
+
+def verify_mixing_basis(b: MixingBasis):
+    """Re-check a mixing basis from scratch; returns (ok, failed check names).
+
+    Checks: the graph is bipartite, 2 < p/q < 4, every entry is a cycle of
+    the graph shorter than 2*ceil(p/(p-2q)), and the entries have GF(2)
+    rank m - n + c, so they span the cycle space.
+    """
+    failures = []
+    g = b.graph
+    if not bipartition(g).valid:
+        failures.append("not-bipartite")
+    if not 2 * b.q < b.p < 4 * b.q:
+        failures.append("ratio-outside-(2,4)")
+    elif any(len(c) >= minimal_non_mixing_even_cycle(CircularParams(b.p, b.q))
+             for c in b.cycles):
+        failures.append("cycle-too-long")
+    if not all(is_cycle_of(g, c.vertices) for c in b.cycles):
+        failures.append("not-a-cycle")
+    elif cycle_rank(g, b.cycles) != cycle_space_dimension(g):
+        failures.append("not-spanning")
+    return not failures, failures
 
 
 def verify_witness(w: NonMixingWitness):

@@ -1,6 +1,7 @@
 """Parser robustness: random edits of valid files written by the program's
 own serialisers either parse or fail with a ``ValueError`` (``ParseError``
 for a malformed line, naming a line that exists), never another exception.
+A malformed line reaches the command line as exit 4 naming that line.
 """
 
 import re
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 import support
 from circmix import files
 from circmix.circular import CircularParams
+from circmix.cli import main
 from circmix.fold import folds_to_cycle
-from circmix.generators import pinched_octagon
-from circmix.reconfig import is_mixing_wind
+from circmix.generators import cube_graph, pinched_octagon
+from circmix.graphs import build_graph
+from circmix.reconfig import is_mixing_wind, mixing_basis
 
-TOKENS = ["=", ":", "1/0", "end", "edge", "fold", "final:", "\n"]
+TOKENS = ["=", ":", "1/0", "end", "edge", "fold", "final:", "cycle:", "\n"]
 EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
                            st.integers(min_value=0), st.sampled_from(TOKENS),
                            st.characters(exclude_categories=("Cs",))),
@@ -56,8 +59,14 @@ def certificates(tmp_path_factory):
     (base / "g.txt").write_text(files.serialize_graph_document(files.GraphDocument(c10)))
     witness = is_mixing_wind(c10, CircularParams(5, 2)).witness
     trace = folds_to_cycle(c10, 6)
+    # the cube with a pendant 4-cycle on vertex 7: six basis cycles
+    h = build_graph(11, sorted(cube_graph().graph.edges
+                               | {(7, 8), (8, 9), (9, 10), (7, 10)}))
+    (base / "h.txt").write_text(files.serialize_graph_document(files.GraphDocument(h)))
+    basis = mixing_basis(h, CircularParams(7, 2))
     return (str(base), files.serialize_witness(witness, "g.txt"),
-            files.serialize_fold_trace(trace, "g.txt", target=6))
+            files.serialize_fold_trace(trace, "g.txt", target=6),
+            files.serialize_mixing_basis(basis, "h.txt"))
 
 
 @SETTINGS
@@ -78,7 +87,7 @@ def test_colouring_file_edits(edits):
 @SETTINGS
 @given(EDITS)
 def test_witness_edits(certificates, edits):
-    base, witness, _ = certificates
+    base, witness, _, _ = certificates
     _check(lambda text: files.parse_witness(text, base_dir=base),
            _edit(witness, edits), graph_line="graph: g.txt")
 
@@ -86,6 +95,42 @@ def test_witness_edits(certificates, edits):
 @SETTINGS
 @given(EDITS)
 def test_fold_trace_edits(certificates, edits):
-    base, _, trace = certificates
+    base, _, trace, _ = certificates
     _check(lambda text: files.verify_fold_trace_file(text, base_dir=base),
            _edit(trace, edits), graph_line="graph: g.txt")
+
+
+@SETTINGS
+@given(EDITS)
+def test_mixing_basis_edits(certificates, edits):
+    base, _, _, basis = certificates
+    _check(lambda text: files.parse_mixing_basis(text, base_dir=base),
+           _edit(basis, edits), graph_line="graph: h.txt")
+
+
+@pytest.mark.parametrize("line", ["cycle: 0 1 x 3", "cycle: 0 1", "p: 1/0", "q"])
+def test_malformed_basis_line_exits_4_with_its_number(certificates, tmp_path,
+                                                       capsys, line):
+    base, _, _, basis = certificates
+    lines = basis.splitlines()
+    lines[5] = line
+    cert = tmp_path / "bad.mb"
+    cert.write_text("\n".join(lines).replace("h.txt", f"{base}/h.txt") + "\n")
+    assert main(["verify", str(cert)]) == 4
+    assert capsys.readouterr().err.startswith("error: line 6: cannot parse")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 10\nedge 0 1\nedge 5 12\n",
+     "line 3: edge (5,12) has an endpoint outside 0..9"),
+    ("# endpoints are checked once n is known\nedge 5 12\n\nn 10\n",
+     "line 2: edge (5,12) has an endpoint outside 0..9"),
+    ("n 10\nedge 3 3\n", "line 2: loop edge at vertex 3"),
+    ("edge 0 1\nedge 3 3\nn 10\n", "line 2: loop edge at vertex 3"),
+])
+def test_edge_errors_name_their_line(tmp_path, capsys, text, message):
+    with pytest.raises(files.ParseError, match=re.escape(message)):
+        files.parse_graph_document(text)
+    (tmp_path / "g.txt").write_text(text)
+    assert main(["mix", str(tmp_path / "g.txt"), "-p", "5", "-q", "2"]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -8,9 +8,11 @@ import pytest
 import circmix
 import support
 from circmix.graphs import (Cycle, SizeGuardError, bipartition, blocks, build_graph,
-                            canonical_key, connected_components, distance,
+                            canonical_key, connected_components, cycle_rank,
+                            cycle_space_dimension, distance, edge_set_cycle,
                             enumerate_cycles, fundamental_cycle_basis, girth_cycle,
-                            is_cycle_of, longest_basis_cycle, shortest_cycle)
+                            is_cycle_of, longest_basis_cycle, minimum_cycle_basis,
+                            shortest_cycle)
 
 
 class TestBuildGraph:
@@ -228,6 +230,19 @@ class TestCycleHelpers:
             else:
                 assert odd is None
             assert longest_basis_cycle(g) == support.brute_longest_basis_cycle(g)
+            basis = minimum_cycle_basis(g)
+            cycles = [edge_set_cycle(g, edges) for _, edges in basis]
+            assert [len(c) for c in cycles] == sorted(k for k, _ in basis)
+            assert all(is_cycle_of(g, c.vertices) for c in cycles)
+            assert len(cycles) == cycle_rank(g, cycles) == cycle_space_dimension(g)
+
+    def test_rank_of_dependent_cycles(self):
+        # the outer 6-cycle of two squares sharing an edge is their sum
+        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 0)])
+        squares = [Cycle((0, 1, 2, 3)), Cycle((0, 3, 4, 5))]
+        outer = Cycle((0, 1, 2, 3, 4, 5))
+        assert cycle_rank(g, squares + [outer]) == 2 == cycle_space_dimension(g)
+        assert cycle_rank(g, [outer, outer]) == 1
 
 
 class TestCanonicalKey:

@@ -13,11 +13,11 @@ from circmix.circular import (CircularParams, Colouring, edge_weight,
                               enumerate_colourings, shift, validate_colouring)
 from circmix.graphs import Cycle, build_graph, enumerate_cycles, fundamental_cycle_basis
 from circmix.kernels import BudgetExceededError
-from circmix.reconfig import (NonMixingWitness, _make_witness, col_neighbours,
-                              fixed_vertices, is_mixing_oracle, is_mixing_wind,
-                              is_reachable_characterized, is_reachable_oracle,
-                              locked_vertices, reachability_signature,
-                              verify_witness)
+from circmix.reconfig import (MixingVerdict, NonMixingWitness, _make_witness,
+                              col_neighbours, fixed_vertices, is_mixing_oracle,
+                              is_mixing_wind, is_reachable_characterized,
+                              is_reachable_oracle, locked_vertices,
+                              reachability_signature, verify_witness)
 
 P31 = CircularParams(3, 1)
 P52 = CircularParams(5, 2)
@@ -440,6 +440,9 @@ class TestPinnedWindScan:
         assert settled >= 450 and wrapped >= 50, (settled, wrapped)
 
     def test_state_count_matches_oracle(self):
+        # The cycle-basis shortcut answers every one of these without a scan,
+        # and no small bipartite graph is known that mixes and still scans,
+        # so the count is checked on the scan itself.
         cases = [
             (support.cycle(4), P72), (support.grid(2, 3), P52),
             (support.complete_bipartite(2, 3), P73),
@@ -449,15 +452,39 @@ class TestPinnedWindScan:
             (build_graph(1, []), P52), (build_graph(4, []), P73),
         ]
         for g, params in cases:
-            v = is_mixing_wind(g, params)
+            assert is_mixing_wind(g, params) == MixingVerdict(status="mixing")
+            v = reconfig._wind_scan(g, params, kernels.DEFAULT_STATE_BUDGET)
             assert v.status == "mixing"
             assert v.state_count == is_mixing_oracle(g, params).state_count
 
     def test_budget_counts_pinned_states(self):
-        # 7 * 4**3 = 448 colourings of the 4-path, 64 with vertex 0 pinned
-        assert is_mixing_wind(support.path(4), P72, budget=64).state_count == 448
-        with pytest.raises(BudgetExceededError, match="more than 63 proper states"):
-            is_mixing_wind(support.path(4), P72, budget=63)
+        # C6 at (7,2) is scanned: its 4354 colourings, 622 with vertex 0
+        # pinned, fit in one block, so the budget meets all pinned states
+        c6 = support.cycle(6)
+        pinned = is_mixing_oracle(c6, P72).state_count // 7
+        assert pinned == 622
+        assert is_mixing_wind(c6, P72, budget=pinned).status == "not-mixing"
+        with pytest.raises(BudgetExceededError, match="more than 621 proper states"):
+            is_mixing_wind(c6, P72, budget=pinned - 1)
+
+    def test_odd_branch_honours_the_budget(self):
+        # a 16-vertex path ending in a triangle has no (5,2)-colouring, and
+        # the search for a first one used to backtrack through 5 * 2**15
+        # partial colourings whatever the budget
+        g = build_graph(18, [(i, i + 1) for i in range(15)]
+                        + [(15, 16), (16, 17), (15, 17)])
+        with pytest.raises(BudgetExceededError, match="more than 10 partial states at vertex"):
+            is_mixing_wind(g, P52, budget=10)
+        assert is_mixing_wind(support.cycle(9), P72, budget=1).status == "not-mixing"
+
+    def test_colouring_stream_counts_like_state_blocks(self):
+        # 7 * 4**3 = 448 colourings of the 4-path at (7,2)
+        g = support.path(4)
+        assert len(list(enumerate_colourings(g, P72, budget=448))) == 448
+        for stream in (lambda: enumerate_colourings(g, P72, budget=447),
+                       lambda: kernels.state_blocks(g, 7, 2, budget=447)):
+            with pytest.raises(BudgetExceededError, match="more than 447 proper states"):
+                list(stream())
 
 
 class TestWitnessSoundness:
