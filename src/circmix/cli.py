@@ -228,7 +228,8 @@ def build_parser() -> _Parser:
                        help="where to write the certificate: a witness or "
                        "fold trace for NOT-MIXING, and for --method wind the "
                        "cycle basis behind a MIXING answer found without a "
-                       "scan")
+                       "scan; oracle and planar NOT-MIXING witnesses come from "
+                       "a wind scan after the decision, under --budget")
     p_mix.add_argument("--explain", default=None,
                        help="write the planar decision tree as JSON "
                        "(--method planar only; otherwise exit 4)")

@@ -13,13 +13,13 @@ from here too); the decider runs no colouring enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .circular import CircularParams, minimal_non_mixing_even_cycle
-from .graphs import (Cycle, Graph, bfs_forest, bipartition, blocks, build_graph,
-                     connected_components, enumerate_cycles, is_connected,
-                     is_cycle_of)
+from .graphs import (Cycle, Graph, bfs_forest, bipartition, blocks,
+                     connected_components, enumerate_cycles, induced_subgraph,
+                     is_connected, is_cycle_of)
 from .reconfig import MixingVerdict
 
 
@@ -152,14 +152,11 @@ def region_split(g: Graph, rot: RotationSystem, c: Cycle) -> RegionSplit:
     outside = set(bfs_forest(_dual_adjacency(g, dart_face, cut), (fs.outer,))[2])
     on_cycle = set(c.vertices)
     interior, exterior = set(), set()
-    incident = {v: set() for v in range(g.n)}
-    for i, walk in enumerate(fs.faces):
-        for v in walk:
-            incident[v].add(i)
     for v in range(g.n):
         if v in on_cycle:
             continue
-        sides = {f in outside for f in incident[v]}
+        # every face at v has a dart out of v
+        sides = {dart_face[(v, w)] in outside for w in g.adjacency[v]}
         if sides == {True}:
             exterior.add(v)
         elif sides == {False}:
@@ -187,26 +184,15 @@ def _dual_adjacency(g: Graph, dart_face: dict, cut: set) -> list:
     return dual
 
 
-def restrict_embedding(g: Graph, rot: RotationSystem, vertices,
-                       edge_subset=None) -> EmbeddedPiece:
-    """Embedding induced on a vertex subset (optionally an edge subset):
-    delete everything else and keep the surviving cyclic orders."""
-    vs = sorted(vertices)
-    remap = {v: i for i, v in enumerate(vs)}
-    keep = set(vs)
-
-    def edge_ok(u, v):
-        e = (min(u, v), max(u, v))
-        if u not in keep or v not in keep or e not in g.edges:
-            return False
-        return edge_subset is None or e in edge_subset
-
-    edges = [(remap[u], remap[v]) for (u, v) in g.edges if edge_ok(u, v)]
-    sub = build_graph(len(vs), edges)
-    rotation = tuple(
-        tuple(remap[w] for w in rot.rotation[v] if edge_ok(v, w)) for v in vs)
+def restrict_embedding(g: Graph, rot: RotationSystem, vertices) -> EmbeddedPiece:
+    """Embedding of the subgraph induced on a vertex subset: each kept vertex
+    keeps the cyclic order of its kept neighbours.  A block's vertex set
+    induces exactly the block's edges, so this also cuts out blocks."""
+    sub, remap = induced_subgraph(g, vertices)
+    rotation = tuple(tuple(remap[w] for w in rot.rotation[v] if w in remap)
+                     for v in remap)
     return EmbeddedPiece(graph=sub, rotation=RotationSystem(rotation=rotation),
-                         original_ids=tuple(vs))
+                         original_ids=tuple(remap))
 
 
 def separating_cycles(g: Graph, rot: RotationSystem, length: int) -> list:
@@ -258,11 +244,11 @@ def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
     """Polynomial mixing decision for embedded bipartite planar graphs at
     3 <= p/q < 4.  Returns (MixingVerdict, DecisionNode).
 
-    Blocks are decided independently; within a 2-connected piece any
-    separating 4-cycle splits the instance into its closed interior and
-    exterior; a piece without separating 4-cycles mixes iff at most one of
-    its faces has length >= the minimal non-mixing even cycle (6 throughout
-    this parameter range).
+    Blocks are decided independently (isolated vertices, in no block, drop
+    out); within a 2-connected piece any separating 4-cycle splits the
+    instance into its closed interior and exterior; a piece without
+    separating 4-cycles mixes iff at most one of its faces has length >=
+    the minimal non-mixing even cycle (6 throughout this parameter range).
 
     ``split_chooser`` picks which separating 4-cycle to split at (default:
     the first in enumeration order); the verdict is independent of the
@@ -288,37 +274,34 @@ def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
 def _decide(piece: EmbeddedPiece, threshold: int, chooser) -> DecisionNode:
     g = piece.graph
     ids = piece.original_ids
-    decomposition = blocks(g)
-    if len(decomposition.blocks) > 1:
-        children = []
-        for blk in decomposition.blocks:
-            sub = restrict_embedding(g, piece.rotation, sorted(blk.vertices),
-                                     edge_subset=blk.edges)
-            sub = EmbeddedPiece(graph=sub.graph, rotation=sub.rotation,
-                                original_ids=tuple(ids[v] for v in sub.original_ids))
-            children.append(_decide(sub, threshold, chooser))
-        verdict = all(c.mixing for c in children)
-        return DecisionNode(kind="blocks", mixing=verdict,
-                            detail={"count": len(decomposition.blocks)},
-                            children=tuple(children))
+    pieces = blocks(g).blocks
+    if len(pieces) > 1 or len(pieces[0].vertices) < g.n:
+        children = tuple(
+            _decide(_renamed(restrict_embedding(g, piece.rotation, blk.vertices), ids),
+                    threshold, chooser)
+            for blk in pieces)
+        return DecisionNode(kind="blocks", mixing=all(c.mixing for c in children),
+                            detail={"count": len(pieces)}, children=children)
     if g.n >= 5:
         seps = separating_cycles(g, piece.rotation, 4)
         if seps:
             chosen = chooser(seps)
             split = region_split(g, piece.rotation, chosen)
-            children = []
-            for half in (split.interior_piece, split.exterior_piece):
-                sub = EmbeddedPiece(graph=half.graph, rotation=half.rotation,
-                                    original_ids=tuple(ids[v] for v in half.original_ids))
-                children.append(_decide(sub, threshold, chooser))
-            verdict = all(c.mixing for c in children)
+            children = tuple(_decide(_renamed(half, ids), threshold, chooser)
+                             for half in (split.interior_piece, split.exterior_piece))
             return DecisionNode(
-                kind="split", mixing=verdict,
+                kind="split", mixing=all(c.mixing for c in children),
                 detail={"cycle": tuple(ids[v] for v in chosen.vertices)},
-                children=tuple(children))
+                children=children)
     fs = faces(g, piece.rotation)
     count, verdict = face_criterion(fs, threshold)
     return DecisionNode(
         kind="faces", mixing=verdict,
         detail={"lengths": sorted(fs.lengths), "threshold": threshold,
                 "long_faces": count})
+
+
+def _renamed(child: EmbeddedPiece, ids: tuple) -> EmbeddedPiece:
+    """A child piece with its vertices named by the input graph's ids, given
+    ``ids``, its parent's names for them."""
+    return replace(child, original_ids=tuple(ids[v] for v in child.original_ids))

@@ -424,24 +424,29 @@ def is_mixing_wind(g: Graph, params: CircularParams,
     """Mixing via the cycle-wind characterization (2 < p/q < 4).
 
     Non-bipartite colourable inputs short-circuit through an odd cycle,
-    which is always wrapped; finding a first colouring counts partial
-    colourings against ``budget``.  A bipartite graph whose minimum cycle
-    basis has only cycles shorter than 2*ceil(p/(p-2q)) mixes with no scan
-    (``state_count`` None; ``mixing_basis`` gives the certificate), since
-    no shorter cycle is ever unbalanced and imbalance is linear over the
-    cycle space.  Every other graph is scanned: any fundamental cycle whose
-    weight misses (|E|/2)*p yields a wrapped cycle, shrunk across chords
-    into a concise witness.  The reported witness is deterministic:
-    lexicographically least colouring, then shortest unbalanced basis cycle.
+    which is always wrapped.  A shortest odd cycle C_{2k+1} with
+    p/q < (2k+1)/k answers VACUOUS at once; otherwise finding a first
+    colouring counts partial colourings against ``budget``.  A bipartite
+    graph whose minimum cycle basis has only cycles shorter than
+    2*ceil(p/(p-2q)) mixes with no scan (``state_count`` None;
+    ``mixing_basis`` gives the certificate), since no shorter cycle is ever
+    unbalanced and imbalance is linear over the cycle space.  Every other
+    graph is scanned: any fundamental cycle whose weight misses (|E|/2)*p
+    yields a wrapped cycle, shrunk across chords into a concise witness.
+    The reported witness is deterministic: lexicographically least
+    colouring, then shortest unbalanced basis cycle.
     """
     require_ratio_open(params)
     if not bipartition(g).valid:
-        f0 = next(enumerate_colourings(g, params, budget=budget), None)
-        if f0 is None:
-            return MixingVerdict(status="vacuous", state_count=0)
         odd = shortest_cycle(g, odd=True)
         if odd is None:
             raise AssertionError("graph claimed non-bipartite but no odd cycle found")
+        k = len(odd) // 2  # C_{2k+1} has circular chromatic number (2k+1)/k
+        if k * params.p < len(odd) * params.q:
+            return MixingVerdict(status="vacuous", state_count=0)
+        f0 = next(enumerate_colourings(g, params, budget=budget), None)
+        if f0 is None:
+            return MixingVerdict(status="vacuous", state_count=0)
         witness = _make_witness(f0, odd)
         return MixingVerdict(status="not-mixing", witness=witness)
     if _short_basis(g, params) is not None:

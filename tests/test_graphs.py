@@ -11,8 +11,8 @@ from circmix.graphs import (Cycle, SizeGuardError, bipartition, blocks, build_gr
                             canonical_key, connected_components, cycle_rank,
                             cycle_space_dimension, distance, edge_set_cycle,
                             enumerate_cycles, fundamental_cycle_basis, girth_cycle,
-                            is_cycle_of, longest_basis_cycle, minimum_cycle_basis,
-                            shortest_cycle)
+                            induced_subgraph, is_cycle_of, longest_basis_cycle,
+                            minimum_cycle_basis, shortest_cycle)
 
 
 class TestBuildGraph:
@@ -178,6 +178,36 @@ class TestBlocks:
             union = [e for b in d.blocks for e in b.edges]
             assert len(union) == len(set(union)) == g.m
             assert set(union) == set(g.edges)
+
+    def test_block_vertex_sets_induce_exactly_the_block_edges(self):
+        # an edge joining two vertices of a block would extend the block, so
+        # a block is cut out of its graph by its vertex set alone
+        rng = random.Random(11)
+        seen_cuts = seen_bridges = 0
+        for _ in range(150):
+            n, edges = 1, []
+            for _ in range(rng.randint(1, 6)):
+                at = rng.randrange(n)
+                roll = rng.random()
+                if roll < 0.35:  # a bridge to a new vertex
+                    edges.append((at, n))
+                    n += 1
+                elif roll < 0.85:  # a chorded cycle hung at `at`
+                    ring = [at] + list(range(n, n + rng.randint(2, 5)))
+                    edges += list(zip(ring, ring[1:] + ring[:1]))
+                    edges += [e for e in itertools.combinations(ring, 2)
+                              if rng.random() < 0.2]
+                    n = ring[-1] + 1
+                elif n > 2:  # an edge that may merge blocks
+                    edges.append(tuple(rng.sample(range(n), 2)))
+            g = build_graph(n + rng.randint(0, 2), edges)  # maybe isolated vertices
+            d = blocks(g)
+            seen_cuts += bool(d.cut_vertices)
+            seen_bridges += any(len(b.edges) == 1 for b in d.blocks)
+            for b in d.blocks:
+                sub, remap = induced_subgraph(g, b.vertices)
+                assert sub.edges == {(remap[u], remap[v]) for u, v in b.edges}
+        assert seen_cuts > 50 and seen_bridges > 50
 
 
 class TestDistance:

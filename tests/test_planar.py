@@ -223,9 +223,29 @@ class TestDecider:
         # hand embedding: hexagons side by side, bridge between
         rotation = RotationSystem(rotation=tuple(rot))
         v, tree = planar_mixing_decider(g, rotation, P31)
-        assert tree.kind == "blocks"
+        hexagon = {"kind": "faces", "mixing": False, "children": [],
+                   "detail": {"lengths": [6, 6], "threshold": 6, "long_faces": 2}}
+        bridge = {"kind": "faces", "mixing": True, "children": [],
+                  "detail": {"lengths": [2], "threshold": 6, "long_faces": 0}}
+        assert tree.to_dict() == {"kind": "blocks", "mixing": False,
+                                  "detail": {"count": 3},
+                                  "children": [hexagon, bridge, hexagon]}
         assert v.status == "not-mixing"
         assert is_mixing_oracle(g, P31).status == "not-mixing"
+
+    def test_one_block_plus_an_isolated_vertex(self):
+        # region_split needs a connected piece, so the isolated vertex
+        # drops out under a one-block "blocks" node
+        for gg in (grid_graph(2, 3), cube_graph()):
+            g = build_graph(gg.graph.n + 1, gg.graph.edges)
+            for rot in (gg.rotation, mirror_rotation(gg.rotation)):
+                padded = RotationSystem(rotation=rot.rotation + ((),), outer=rot.outer)
+                for params in (P72, P31):
+                    v, tree = planar_mixing_decider(g, padded, params)
+                    assert v.status == is_mixing_oracle(g, params).status, gg.name
+                    assert (tree.kind, tree.detail) == ("blocks", {"count": 1})
+                    _, alone = planar_mixing_decider(gg.graph, rot, params)
+                    assert tree.children == (alone,)
 
     def test_rejects_non_bipartite(self):
         gg = cycle_graph(5)

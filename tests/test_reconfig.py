@@ -467,13 +467,25 @@ class TestPinnedWindScan:
         with pytest.raises(BudgetExceededError, match="more than 621 proper states"):
             is_mixing_wind(c6, P72, budget=pinned - 1)
 
-    def test_odd_branch_honours_the_budget(self):
-        # a 16-vertex path ending in a triangle has no (5,2)-colouring, and
-        # the search for a first one used to backtrack through 5 * 2**15
-        # partial colourings whatever the budget
+    def test_short_odd_cycle_answers_vacuous_without_a_search(self):
+        # a 16-vertex path ending in a triangle has no (5,2)-colouring since
+        # 5/2 < 3/1; the triangle settles it before a search for a first
+        # colouring would backtrack through 5 * 2**15 partial colourings
         g = build_graph(18, [(i, i + 1) for i in range(15)]
                         + [(15, 16), (16, 17), (15, 17)])
-        with pytest.raises(BudgetExceededError, match="more than 10 partial states at vertex"):
+        assert is_mixing_wind(g, P52, budget=10) == MixingVerdict(
+            status="vacuous", state_count=0)
+
+    def test_odd_branch_honours_the_budget(self):
+        # a 16-vertex path joined to a Petersen graph: odd girth 5 passes the
+        # odd-cycle test at (5,2), yet chi_c = 3 leaves no colouring, which
+        # only the budgeted search for a first one can find out
+        petersen = ([(i, (i + 1) % 5) for i in range(5)]
+                    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                    + [(i, i + 5) for i in range(5)])
+        g = build_graph(26, [(i, i + 1) for i in range(16)]
+                        + [(16 + u, 16 + v) for u, v in petersen])
+        with pytest.raises(BudgetExceededError, match="more than 10 partial states at vertex 22"):
             is_mixing_wind(g, P52, budget=10)
         assert is_mixing_wind(support.cycle(9), P72, budget=1).status == "not-mixing"
 
