@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import Cycle, Graph, build_graph
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
@@ -128,28 +128,21 @@ class WindReport:
     cycle: Cycle
     weight: int
     wind: int
-    required: Optional[int]  # (|E|/2)*p when the cycle is even, else None
+    required: Fraction  # (|E|/2)*p, a half-integer multiple of p when |E| is odd
     wrapped: bool
 
 
 def cycle_wind(f: Colouring, c: Cycle) -> WindReport:
-    """Weight and wind of a cycle under f; a cycle is wrapped when its weight
-    differs from half the edge count times p (odd cycles always are)."""
+    """Weight and wind of a cycle under f: the one balance test.  A cycle is
+    wrapped when its weight differs from (|E|/2)*p; the weight is a multiple
+    of p, so odd cycles always are."""
     p = f.params.p
-    weight = 0
-    for (a, b) in c.directed_edges():
-        weight += edge_weight(f, a, b)
+    weight = sum(edge_weight(f, a, b) for a, b in c.directed_edges())
     if weight % p != 0:
         raise AssertionError("cycle weight not divisible by p; weights are corrupt")
-    wind = weight // p
-    length = len(c)
-    if length % 2 == 0:
-        required = (length // 2) * p
-        wrapped = weight != required
-    else:
-        required = None
-        wrapped = True
-    return WindReport(cycle=c, weight=weight, wind=wind, required=required, wrapped=wrapped)
+    required = Fraction(len(c) * p, 2)
+    return WindReport(cycle=c, weight=weight, wind=weight // p, required=required,
+                      wrapped=weight != required)
 
 
 def enumerate_colourings(g: Graph, params: CircularParams,

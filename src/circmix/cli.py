@@ -123,10 +123,10 @@ def cmd_mix(args) -> int:
             if witness is None:
                 witness = reconfig.is_mixing_wind(g, params, budget=args.budget).witness
             text = files.serialize_witness(witness, graph_ref=args.graph)
-    elif (verdict.mixing and args.certificate and args.method == "wind"
-          and verdict.state_count is None):  # decided by the basis, no scan
-        text = files.serialize_mixing_basis(reconfig.mixing_basis(g, params),
-                                            graph_ref=args.graph)
+    elif verdict.mixing and args.certificate and args.method == "wind":
+        basis = reconfig.mixing_basis(g, params)  # None when the scan decided
+        if basis is not None:
+            text = files.serialize_mixing_basis(basis, graph_ref=args.graph)
     if text is not None:
         _write(args.certificate, text)
         print(f"certificate: {args.certificate}")
@@ -171,11 +171,8 @@ def cmd_fold_search(args) -> int:
         print("NONE")
         return EXIT_NO
     print(f"folds to C_{args.length} in {len(trace.steps)} step(s)")
-    text = files.serialize_fold_trace(trace, graph_ref=args.graph, target=args.length)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, files.serialize_fold_trace(trace, graph_ref=args.graph,
+                                                target=args.length))
     return EXIT_YES
 
 

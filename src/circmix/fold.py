@@ -326,8 +326,6 @@ def _search_fold_closure(g: Graph, length: int,
         next_level = {}
         for key in sorted(level):
             h = memo[key][0]
-            if h.n - 1 < length:
-                continue
             for x, y in _distance_two_pairs(h):
                 child, _ = elementary_fold(h, x, y)
                 if _is_cycle_graph(child, length):

@@ -8,7 +8,8 @@ certificates are reproducible.
 ``bfs_forest`` is the one vertex-level BFS: it runs on any adjacency
 (undirected graphs pass ``g.adjacency``; the tight digraph and the planar
 dual pass their own neighbour lists), and ``tree_path`` reads a path out of
-its parent array.  ``shortest_cycle`` keeps its own early-exit BFS.
+its parent array.  ``shortest_cycle`` keeps its own early-exit BFS and is
+the one odd-cycle answer (``bipartition`` only reports whether one exists).
 ``minimum_cycle_basis`` is the one basis routine behind every cycle-length
 bound (the fold prune, the threshold scan and the wind shortcut); it takes
 polynomial time, so it has no vertex cap.
@@ -20,9 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-
-class SizeGuardError(ValueError):
-    """Raised when an operation meant for small graphs gets a big one."""
+from .kernels import BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -80,31 +79,20 @@ def build_graph(n: int, edges: Iterable) -> Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Two-colouring of the vertex set, or an odd closed walk disproving one.
-
-    ``side[v]`` is 0 or 1 when valid.  When invalid, ``odd_walk`` is a closed
-    walk of odd length witnessing non-bipartiteness.
-    """
+    """Two-colouring of the vertex set: ``side[v]`` is 0 or 1 when valid,
+    and ``side`` is empty when not (``shortest_cycle(g, odd=True)`` gives an
+    odd cycle as evidence)."""
 
     valid: bool
     side: tuple
-    odd_walk: Optional[tuple] = None
 
 
 def bipartition(g: Graph) -> Bipartition:
-    """2-colour by BFS levels, or return an odd closed walk as evidence.
-
-    The walk closes at the first edge, in BFS order, whose ends share a level.
-    """
-    parent, depth, order = bfs_forest(g.adjacency, range(g.n))
-    for u in order:
-        for v in g.adjacency[u]:
-            if depth[v] == depth[u]:
-                # Closed odd walk root..u,v..root along BFS tree paths; the
-                # start is not repeated, so its length is its vertex count.
-                pu, pv = tree_path(parent, u), tree_path(parent, v)
-                walk = tuple(reversed(pu)) + tuple(pv[:-1])
-                return Bipartition(valid=False, side=(), odd_walk=walk)
+    """2-colour by BFS depth parity: g is bipartite exactly when no edge
+    joins two vertices of equal depth."""
+    depth = bfs_forest(g.adjacency, range(g.n))[1]
+    if any(depth[u] == depth[v] for u, v in g.edges):
+        return Bipartition(valid=False, side=())
     return Bipartition(valid=True, side=tuple(d % 2 for d in depth))
 
 
@@ -512,7 +500,7 @@ def canonical_key(g: Graph) -> bytes:
     guarded accordingly.
     """
     if g.n > _CANONICAL_VERTEX_GUARD:
-        raise SizeGuardError(
+        raise BudgetExceededError(
             f"canonical_key guarded at {_CANONICAL_VERTEX_GUARD} vertices, got {g.n}")
     if g.n == 0:
         return b"\x00"
@@ -568,9 +556,8 @@ def _canonical_search(g: Graph) -> tuple:
         if target is None:
             leaves[0] += 1
             if leaves[0] > _CANONICAL_LEAF_GUARD:
-                raise SizeGuardError("canonical_key leaf guard exceeded")
+                raise BudgetExceededError("canonical_key leaf guard exceeded")
             order = [c[0] for c in cells]
-            pos = {v: i for i, v in enumerate(order)}
             bits = tuple(
                 1 if g.has_edge(order[i], order[j]) else 0
                 for i in range(g.n) for j in range(i + 1, g.n))

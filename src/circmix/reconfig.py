@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        enumerate_colourings, minimal_non_mixing_even_cycle,
-                       require_ratio_open, validate_colouring, walk_weight)
+                       require_ratio_open, validate_colouring)
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components,
                      cycle_rank, cycle_space_dimension, edge_set_cycle,
                      fundamental_cycle_basis, is_cycle_of, minimum_cycle_basis,
@@ -46,9 +46,7 @@ __all__ = [
 @dataclass(frozen=True)
 class NonMixingWitness:
     """A colouring plus a wrapped cycle: the concise NO-certificate.
-
-    ``required`` is the exact value (|E(cycle)|/2)*p, a Fraction so that odd
-    cycles (half-integer multiples of p) need no special casing.
+    ``weight`` and ``required`` are those of ``circular.cycle_wind``.
     """
 
     colouring: Colouring
@@ -329,9 +327,7 @@ def reachability_signature(f: Colouring, basis=None):
         basis = fundamental_cycle_basis(g)
     fixed, _ = _tight_fixed_set(f)
     images = tuple((v, f.colours[v]) for v in sorted(fixed))
-    cycle_weights = tuple(
-        sum(edge_weight(f, a, b) for a, b in c.directed_edges())
-        for c in basis.fundamental)
+    cycle_weights = tuple(cycle_wind(f, c).weight for c in basis.fundamental)
     parent, _, order = bfs_forest(g.adjacency, range(g.n))
     phi = [0] * g.n
     root = list(range(g.n))
@@ -363,50 +359,36 @@ def is_reachable_characterized(f: Colouring, g: Colouring) -> bool:
 def _chordless_shrink(f: Colouring, vertices: tuple) -> tuple:
     """Shrink a wrapped cycle across chords until chordless, staying wrapped.
 
-    Splitting a wrapped cycle at a chord leaves at least one wrapped part;
-    we keep the shorter wrapped part each time.
+    The chord is the least edge (a, b), a < b, joining two cycle vertices
+    that are not consecutive on the cycle.  Splitting a wrapped cycle at a
+    chord leaves at least one wrapped part; we keep the shorter one, the
+    part running from a on a tie.
     """
-    g = f.host
-    p = f.params.p
+    adjacency = f.host.adjacency
     current = tuple(vertices)
     while True:
         pos = {v: i for i, v in enumerate(current)}
         k = len(current)
-        chord = None
-        for (a, b) in sorted(g.edges):
-            ia, ib = pos.get(a), pos.get(b)
-            if ia is None or ib is None:
-                continue
-            if (ia - ib) % k in (1, k - 1):
-                continue
-            chord = (ia, ib)
-            break
+        chord = min(((a, b) for a in current for b in adjacency[a]
+                     if a < b and b in pos and (pos[a] - pos[b]) % k not in (1, k - 1)),
+                    default=None)
         if chord is None:
             return current
-        s, t = chord
-        part1 = tuple(current[(s + j) % k] for j in range(((t - s) % k) + 1))
-        part2 = tuple(current[(t + j) % k] for j in range(((s - t) % k) + 1))
-        candidates = []
-        for part in (part1, part2):
-            cyc = part  # closed by the chord edge
-            w = walk_weight(f, cyc) + edge_weight(f, cyc[-1], cyc[0])
-            if 2 * w != len(cyc) * p:
-                candidates.append((len(cyc), cyc))
-        if not candidates:
+        s, t = pos[chord[0]], pos[chord[1]]
+        parts = (tuple(current[(s + j) % k] for j in range((t - s) % k + 1)),
+                 tuple(current[(t + j) % k] for j in range((s - t) % k + 1)))
+        wrapped = [part for part in parts if cycle_wind(f, Cycle(part)).wrapped]
+        if not wrapped:
             raise AssertionError("wrapped cycle split left no wrapped part")
-        candidates.sort(key=lambda x: x[0])
-        current = candidates[0][1]
+        current = min(wrapped, key=len)
 
 
 def _make_witness(f: Colouring, vertices: tuple) -> NonMixingWitness:
-    shrunk = _chordless_shrink(f, vertices)
-    cycle = Cycle.from_vertices(shrunk)
-    report = cycle_wind(f, cycle)
-    required = Fraction(len(cycle) * f.params.p, 2)
-    if report.weight == required:
+    report = cycle_wind(f, Cycle.from_vertices(_chordless_shrink(f, vertices)))
+    if not report.wrapped:
         raise AssertionError("witness cycle is not wrapped")
-    return NonMixingWitness(colouring=f, cycle=cycle, weight=report.weight,
-                            required=required)
+    return NonMixingWitness(colouring=f, cycle=report.cycle, weight=report.weight,
+                            required=report.required)
 
 
 def _short_basis(g: Graph, params: CircularParams) -> Optional[list]:
@@ -525,21 +507,18 @@ def verify_witness(w: NonMixingWitness):
     arithmetic, the required value, and wrappedness.
     """
     failures = []
-    g = w.colouring.host
-    p = w.colouring.params.p
-    proper, _ = validate_colouring(g, w.colouring)
+    f = w.colouring
+    proper, _ = validate_colouring(f.host, f)
     if not proper:
         failures.append("colouring-improper")
-    if not is_cycle_of(g, w.cycle.vertices):
+    if not is_cycle_of(f.host, w.cycle.vertices):
         failures.append("not-a-cycle")
     else:
-        if proper:
-            weight = sum(edge_weight(w.colouring, a, b)
-                         for a, b in w.cycle.directed_edges())
-            if weight != w.weight:
-                failures.append("weight-mismatch")
-        if w.required != Fraction(len(w.cycle) * p, 2):
+        report = cycle_wind(f, w.cycle)
+        if proper and report.weight != w.weight:
+            failures.append("weight-mismatch")
+        if w.required != report.required:
             failures.append("required-mismatch")
-        if not failures and Fraction(w.weight) == w.required:
+        if not failures and not report.wrapped:
             failures.append("not-wrapped")
     return not failures, failures

@@ -376,5 +376,29 @@ def python_col_graph_dot(g: Graph, params: CircularParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def python_chordless_shrink(f: Colouring, vertices) -> tuple:
+    """Reference shrink of a wrapped cycle: take the first chord of
+    ``sorted(g.edges)``, split there and keep the shorter wrapped part (the
+    part from the chord's smaller end on a tie), until no chord is left.
+    Weights use the colours directly."""
+    g, p = f.host, f.params.p
+    current = tuple(vertices)
+    while True:
+        pos = {v: i for i, v in enumerate(current)}
+        k = len(current)
+        chord = next(((pos[a], pos[b]) for a, b in sorted(g.edges)
+                      if a in pos and b in pos
+                      and (pos[a] - pos[b]) % k not in (1, k - 1)), None)
+        if chord is None:
+            return current
+        s, t = chord
+        parts = [tuple(current[(s + j) % k] for j in range((t - s) % k + 1)),
+                 tuple(current[(t + j) % k] for j in range((s - t) % k + 1))]
+        wrapped = [c for c in parts
+                   if 2 * sum((f.colours[b] - f.colours[a]) % p
+                              for a, b in zip(c, c[1:] + c[:1])) != len(c) * p]
+        current = sorted(wrapped, key=len)[0]
+
+
 def colouring(g: Graph, params: CircularParams, colours) -> Colouring:
     return Colouring(params=params, colours=tuple(colours), host=g)

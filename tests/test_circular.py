@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -177,7 +178,9 @@ class TestWindsAndWalks:
             seen = False
             for f in enumerate_colourings(g, params):
                 seen = True
-                assert cycle_wind(f, c).wrapped
+                rep = cycle_wind(f, c)
+                assert rep.wrapped
+                assert rep.required == Fraction(length * params.p, 2)
             assert seen == expect_any
 
 

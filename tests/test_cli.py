@@ -341,6 +341,17 @@ class TestOtherCommands:
             "fold-tested k = [])\n"), "")
         assert run(capsys, "fold-search", "g.txt", "-L", "6") == (1, "NONE\n", "")
 
+    def test_canonical_key_guard_is_a_budget(self, tmp_path, monkeypatch, capsys):
+        # 19 vertices with girth 8: C_10 needs a closure search, whose keys
+        # are guarded at 16 vertices
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "theta", "4", "4", "12", "--out", "t.txt")
+        for argv in (("fold-search", "t.txt", "-L", "10"), ("threshold", "t.txt"),
+                     ("mix", "t.txt", "-p", "5", "-q", "2", "--method", "fold")):
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert err == "budget exceeded: canonical_key guarded at 16 vertices, got 19\n"
+
     def test_min_cycle(self, capsys):
         code, out, _ = run(capsys, "min-cycle", "-p", "5", "-q", "2")
         assert code == 0 and out.strip() == "10"
@@ -433,6 +444,11 @@ class TestGoldenOutput:
                       "target: 8\nfold 0 2\nfold 0 5\nfold 2 4\nfold 2 5\n"
                       "fold 1 2\nfold 1 3\nfinal:\n0 1\n0 3\n1 2\n2 7\n3 4\n"
                       "4 5\n5 6\n6 7\nend\n")
+    # C8 plus the chord 2-7 at (3,1): the unbalanced basis cycle 0..7 shrinks
+    # across the chord to its wrapped part 2..7
+    C8_CHORD_WITNESS = ("witness\ngraph: c8chord.txt\np: 3\nq: 1\ncolouring:\n"
+                        "0=0\n1=1\n2=0\n3=1\n4=2\n5=0\n6=1\n7=2\nend\n"
+                        "cycle: 2 3 4 5 6 7\nweight: 6\nrequired: 9\n")
 
     def test_pinned_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # certificates record the graph path
@@ -441,6 +457,8 @@ class TestGoldenOutput:
                      ("theta", "2", "3", "3", "--out", "theta.txt"),
                      ("figure1", "--out", "fig1.txt")):
             assert run(capsys, "gen", *args)[0] == 0
+        write_graph(tmp_path, build_graph(8, [(i, (i + 1) % 8) for i in range(8)]
+                                          + [(2, 7)]), name="c8chord.txt")
         cases = [
             (("mix", "c10.txt", "-p", "5", "-q", "2", "--method", "wind",
               "--certificate", "c10.wit"), "c10.wit", self.C10_WITNESS),
@@ -450,6 +468,8 @@ class TestGoldenOutput:
               "--certificate", "theta.wit"), "theta.wit", self.THETA_WITNESS),
             (("mix", "c10.txt", "-p", "3", "-q", "1", "--method", "fold",
               "--certificate", "c10.trace"), "c10.trace", self.C10_TRACE),
+            (("mix", "c8chord.txt", "-p", "3", "-q", "1", "--method", "wind",
+              "--certificate", "c8chord.wit"), "c8chord.wit", self.C8_CHORD_WITNESS),
         ]
         for argv, cert, expected in cases:
             code, out, err = run(capsys, *argv)

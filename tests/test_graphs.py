@@ -7,12 +7,13 @@ import pytest
 
 import circmix
 import support
-from circmix.graphs import (Cycle, SizeGuardError, bipartition, blocks, build_graph,
+from circmix.graphs import (Bipartition, Cycle, bipartition, blocks, build_graph,
                             canonical_key, connected_components, cycle_rank,
                             cycle_space_dimension, distance, edge_set_cycle,
                             enumerate_cycles, fundamental_cycle_basis, girth_cycle,
                             induced_subgraph, is_cycle_of, longest_basis_cycle,
                             minimum_cycle_basis, shortest_cycle)
+from circmix.kernels import BudgetExceededError
 
 
 class TestBuildGraph:
@@ -54,19 +55,8 @@ class TestBipartition:
         assert b.valid
         assert {v for v in range(4) if b.side[v] == b.side[0]} == {0, 2}
 
-    def test_c5_odd_walk(self):
-        b = bipartition(support.cycle(5))
-        assert not b.valid
-        assert len(b.odd_walk) % 2 == 1
-        assert len(b.odd_walk) == 5
-
-    def test_odd_walk_is_closed_walk(self):
-        g = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
-        b = bipartition(g)
-        assert not b.valid
-        w = b.odd_walk
-        for a, c in zip(w, w[1:] + (w[0],)):
-            assert g.has_edge(a, c)
+    def test_c5_has_no_sides(self):
+        assert bipartition(support.cycle(5)) == Bipartition(valid=False, side=())
 
     def test_matches_odd_cycle_search_exhaustive_small(self):
         for n in range(1, 6):
@@ -291,7 +281,7 @@ class TestCanonicalKey:
         assert canonical_key(support.cycle(8)) != canonical_key(g)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(BudgetExceededError):
             canonical_key(build_graph(30, []))
 
     def test_cycle_representative_starts_at_minimum(self):

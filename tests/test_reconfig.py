@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from circmix import kernels, reconfig
@@ -366,6 +368,29 @@ class TestWindDecider:
         assert chords == []
         assert verify_witness(w)[0]
 
+    def test_shrink_matches_python_reference(self):
+        # every wrapped cycle, both orientations, under sampled colourings of
+        # random graphs with chords: the same chord and the same kept part
+        rng = random.Random(17)
+        shrunk = 0
+        for _ in range(150):
+            n = rng.randint(4, 8)
+            g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.45])
+            params = rng.choice((P31, P52, P72, P73, P83))
+            cycles = list(enumerate_cycles(g, n))
+            for f in itertools.islice(enumerate_colourings(g, params, budget=10_000),
+                                      0, 600, 150):
+                for c in cycles:
+                    for vs in (c.vertices, c.vertices[::-1]):
+                        if 2 * sum((f.colours[b] - f.colours[a]) % params.p
+                                   for a, b in zip(vs, vs[1:] + vs[:1])) == len(vs) * params.p:
+                            continue
+                        expected = support.python_chordless_shrink(f, vs)
+                        assert reconfig._chordless_shrink(f, vs) == expected
+                        shrunk += len(expected) < len(vs)
+        assert shrunk > 300
+
     def test_agrees_with_oracle_small(self):
         for params in (P31, P52, P72, P73):
             for n in range(1, 6):
@@ -389,6 +414,37 @@ def random_bipartite(rng):
     edges |= {(u, v) for u, v in itertools.combinations(range(n), 2)
               if side[u] != side[v] and rng.random() < density}
     return build_graph(n, sorted(edges))
+
+
+def chorded_cycle(rng):
+    """An even cycle of length 6, 8 or 10 with one to three chords, each
+    joining vertices an odd distance apart so the graph stays bipartite, and
+    up to two pendant vertices: fundamental cycles that carry chords."""
+    length = rng.choice((6, 8, 10))
+    edges = {(i, (i + 1) % length) for i in range(length)}
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.sample(range(length), 2))
+        if (j - i) % 2:
+            edges.add((i, j))
+    for n in range(length, length + rng.randint(0, 2)):
+        edges.add((rng.randrange(n), n))
+    return build_graph(1 + max(max(e) for e in edges), edges)
+
+
+RATIOS = [CircularParams(p, q) for p in range(3, 9) for q in range(1, p)
+          if 2 * q < p < 4 * q]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from(RATIOS))
+def test_every_wind_witness_is_chordless_and_verifies(rng, chorded, params):
+    g = chorded_cycle(rng) if chorded else random_bipartite(rng)
+    w = is_mixing_wind(g, params).witness
+    if w is not None:
+        vs, k = w.cycle.vertices, len(w.cycle)
+        assert not [(vs[i], vs[j]) for i in range(k) for j in range(i + 2, k)
+                    if j - i < k - 1 and g.has_edge(vs[i], vs[j])]
+        assert verify_witness(w) == (True, [])
 
 
 def reference_wind_scan(g, params, limit):
@@ -534,6 +590,13 @@ class TestWitnessSoundness:
                                weight=w.weight + 5, required=w.required)
         ok, failures = verify_witness(bad)
         assert not ok and "weight-mismatch" in failures
+
+    def test_balanced_cycle_fails(self):
+        g = support.cycle(10)
+        bad = NonMixingWitness(colouring=support.colouring(g, P52, (0, 2) * 5),
+                               cycle=Cycle(tuple(range(10))), weight=25,
+                               required=Fraction(25))
+        assert verify_witness(bad) == (False, ["not-wrapped"])
 
     def test_foreign_cycle_fails(self):
         w = self.make()
