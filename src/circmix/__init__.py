@@ -13,7 +13,7 @@ from .circular import (CircularParams, Colouring, WindReport, circular_clique,
                        cycle_wind, edge_weight, enumerate_colourings, reflect,
                        shift, transform, validate_colouring, walk_weight)
 from .graphs import (Bipartition, BlockDecomposition, Cycle, CycleBasis, Graph,
-                     bipartition, blocks, build_graph, canonical_key, distance,
+                     bipartition, blocks, build_graph, distance,
                      enumerate_cycles, fundamental_cycle_basis)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 from .reconfig import (FixedSetReport, MixingBasis, MixingVerdict,

@@ -6,7 +6,7 @@ Exit codes are stable so scripts can branch on them:
   0  mixing / reachable / verification passed
   1  not-mixing / unreachable / verification failed
   2  vacuous (no proper colourings at all)
-  3  state or memo budget exceeded
+  3  state budget exceeded
   4  usage or precondition errors
 """
 
@@ -95,7 +95,7 @@ def cmd_mix(args) -> int:
     elif args.method == "fold":
         if params.p != 2 * params.q + 1:
             raise ValueError("fold method needs p = 2q+1 (odd-cycle targets)")
-        mixing, payload = fold.odd_mixing_by_fold(g, params.q)
+        mixing, payload = fold.odd_mixing_by_fold(g, params.q, budget=args.budget)
         status = "mixing" if mixing else "not-mixing"
         verdict = reconfig.MixingVerdict(status=status)
         trace_payload = payload
@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fold_search(args) -> int:
     doc = files.load_graph_document(args.graph)
-    trace = fold.folds_to_cycle(doc.graph, args.length, memo_budget=args.memo_budget)
+    trace = fold.folds_to_cycle(doc.graph, args.length, budget=args.budget)
     if trace is None:
         print("NONE")
         return EXIT_NO
@@ -178,7 +178,7 @@ def cmd_fold_search(args) -> int:
 
 def cmd_threshold(args) -> int:
     doc = files.load_graph_document(args.graph)
-    res = fold.circular_mixing_threshold(doc.graph, memo_budget=args.memo_budget)
+    res = fold.circular_mixing_threshold(doc.graph, budget=args.budget)
     print(f"threshold k = {res.k} (target cycle C_{2 * res.k + 1}; "
           f"longest basis cycle {res.longest_basis_cycle}; "
           f"fold-tested k = {list(res.tested)})")
@@ -210,10 +210,11 @@ def build_parser() -> _Parser:
 
     def add_budget(p):
         p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
-                       help="cap on enumerated colouring states at any one "
-                       "vertex (the wind method counts only those with the "
-                       "least vertex of each component at colour 0, or on a "
-                       "non-bipartite graph the partial colourings it tries)")
+                       help="cap on states enumerated at any one vertex: "
+                       "colourings (the wind method counts those with each "
+                       "component's least vertex at colour 0, or on a "
+                       "non-bipartite graph the partial colourings it tries) "
+                       "or, for fold answers, maps onto the target cycle")
 
     p_mix = sub.add_parser("mix", help="decide whether a graph mixes at (p,q)")
     p_mix.add_argument("graph")
@@ -251,17 +252,17 @@ def build_parser() -> _Parser:
     p_verify.add_argument("file")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_fold = sub.add_parser("fold-search", help="search the fold closure for a cycle")
+    p_fold = sub.add_parser("fold-search", help="fold the graph onto the cycle C_L")
     p_fold.add_argument("graph")
     p_fold.add_argument("-L", dest="length", type=int, required=True)
-    p_fold.add_argument("--memo-budget", type=int, default=fold.DEFAULT_MEMO_BUDGET)
+    add_budget(p_fold)
     p_fold.add_argument("--out", default=None)
     p_fold.set_defaults(func=cmd_fold_search)
 
     p_thresh = sub.add_parser("threshold",
                               help="smallest k with the graph C_{2k+1}-mixing")
     p_thresh.add_argument("graph")
-    p_thresh.add_argument("--memo-budget", type=int, default=fold.DEFAULT_MEMO_BUDGET)
+    add_budget(p_thresh)
     p_thresh.set_defaults(func=cmd_threshold)
 
     p_min = sub.add_parser("min-cycle",

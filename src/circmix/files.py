@@ -374,7 +374,8 @@ def col_graph_to_dot(g: Graph, params: CircularParams) -> str:
     """
     p, q = params.p, params.q
     blocks, count = [np.zeros((0, g.n), dtype=np.int16)], 0
-    for block in kernels.state_blocks(g, p, q):  # stop at the cap, not after
+    compat, domain = kernels.compat_table(p, q), np.ones((g.n, p), dtype=bool)
+    for block in kernels.state_blocks(g, compat, domain):  # stop at the cap, not after
         count += block.shape[0]
         if count > DOT_STATE_CAP:
             raise kernels.BudgetExceededError(

@@ -1,11 +1,13 @@
-"""Elementary folds, fold-sequence search to cycle targets, retractions,
+"""Elementary folds, fold sequences onto cycle targets, retractions,
 dominated-vertex reduction, and the fold-based odd-cycle mixing decision.
 
 An elementary fold identifies two vertices at distance exactly 2.  Folding
 can only lose colourings, and for 2 < p/q < 4 a fold image that fails to mix
 drags the original down with it; for the odd-cycle targets C_{2k+1} the
 converse holds too: a connected bipartite graph fails to mix exactly when it
-folds onto the cycle C_{4k+2}.
+folds onto the cycle C_{4k+2}.  A connected graph folds onto C_L exactly
+when some homomorphism to C_L winds one of its cycles (``folds_to_cycle``),
+so fold sequences are built from such a homomorphism, not searched for.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .circular import CircularParams, require_ratio_open
-from .graphs import (Graph, bfs_forest, bipartition, build_graph, canonical_key,
-                     connected_components, girth_cycle, induced_subgraph,
-                     is_connected, longest_basis_cycle, tree_path)
-from .kernels import BudgetExceededError
+import numpy as np
 
-DEFAULT_MEMO_BUDGET = 100_000
+from . import kernels
+from .circular import CircularParams, require_ratio_open
+from .graphs import (Bipartition, Graph, bfs_forest, bipartition, build_graph,
+                     connected_components, fundamental_cycle_basis, girth_cycle,
+                     induced_subgraph, is_connected, longest_basis_cycle,
+                     tree_path)
+from .kernels import DEFAULT_STATE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ def retract_to_shortest_cycle(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Fold search to cycle targets.
+# Fold sequences onto cycle targets.
 
 
 def _is_cycle_graph(g: Graph, length: int) -> bool:
@@ -232,33 +236,44 @@ def _is_cycle_graph(g: Graph, length: int) -> bool:
 
 
 def folds_to_cycle(g: Graph, length: int,
-                   memo_budget: int = DEFAULT_MEMO_BUDGET) -> Optional[FoldTrace]:
-    """Search the fold closure of g for the cycle C_length.
+                   budget: int = DEFAULT_STATE_BUDGET) -> Optional[FoldTrace]:
+    """A fold sequence from g onto the cycle C_length, or None if none exists.
 
-    Two layers: a constructive fast path (when the graph is bipartite and
-    its shortest cycle is at least as long as the even target, retract onto
-    that cycle fold-by-fold and then pair-fold the cycle down), and a
-    breadth-first closure search deduplicated by canonical key, expanding
-    states in ascending vertex count and canonical-key order so traces are
-    reproducible.
+    A connected g folds onto C_L exactly when some homomorphism
+    phi: g -> C_L winds a cycle (walks it round C_L a nonzero net number of
+    times).  If phi winds a cycle, fold the least pair of vertices with a
+    common neighbour and one image, and repeat: each fold keeps phi a
+    homomorphism, so at the end every vertex has at most the two neighbours
+    imaged phi(v) +- 1.  A path winds nothing, so what is left is a cycle
+    whose every step goes the same way round C_L, C_{jL} with j != 0, and
+    pair-folds shrink it to C_L.  Conversely, if g folds onto C_L a winding
+    cycle pulls back one fold at a time: a cycle through the merged vertex
+    becomes a closed walk plus an x-w-y detour round a common neighbour w,
+    and the detour winds zero, so some cycle of that walk winds.
 
-    States with at most ``length`` vertices are dead, and so are states
-    whose minimum cycle basis has only cycles shorter than ``length``
-    (``longest_basis_cycle``).  Every state shares g's parity, and no such
-    state folds to C_length:
+    Winding is Z-linear over the cycle space, which the fundamental cycles
+    generate over Z, so checking them is enough.  Shifting phi keeps every
+    winding, so vertex 0 takes image 0; for even L every step changes
+    parity, so each vertex of a bipartite g takes only images of its side's
+    parity, which loses no homomorphism and cuts partial maps that cannot
+    extend.  For odd L every phi winds an odd cycle of a non-bipartite g (an
+    odd closed walk cannot balance), so the first phi will do.  ``budget``
+    caps the partial maps of that scan.
+
+    Two answers need no scan.  A bipartite g with girth >= length retracts
+    onto a shortest cycle fold by fold, then pair-folds it down.  And g
+    cannot fold onto C_L when its minimum cycle basis has only cycles
+    shorter than L (``longest_basis_cycle``):
 
     * even L >= 6: some coprime (p, q) with 2 < p/q < 4 has threshold
       2*ceil(p/(p-2q)) = L ((2k+1, k) for L = 4k+2, (6k-1, 3k-2) for
       L = 4k).  Shorter cycles are balanced there and imbalance is linear
-      over the cycle space, so the state mixes at (p, q); fold images of
-      mixing graphs mix, and C_L does not;
+      over the cycle space, so g mixes at (p, q); fold images of mixing
+      graphs mix, and C_L does not;
     * odd L: a basis of a non-bipartite graph holds an odd cycle, so the
       odd girth is below L and no homomorphism onto C_L exists;
     * L = 4: a bipartite basis with no cycle of length 4 or more is empty,
       and forests fold only to forests.
-
-    A state with a mixing parent mixes too, so no pruned state lies on a
-    path to the target and the traces found are those of the full search.
     """
     if length < 3:
         raise ValueError("cycle targets need length >= 3")
@@ -277,7 +292,9 @@ def folds_to_cycle(g: Graph, length: int,
         shortest = girth_cycle(g)
         if shortest is not None and len(shortest) >= length:
             return _guided_cycle_trace(g, length)
-    return _search_fold_closure(g, length, memo_budget)
+    if longest_basis_cycle(g) < length:
+        return None
+    return _winding_trace(g, length, bip, budget)
 
 
 def _guided_cycle_trace(g: Graph, length: int) -> FoldTrace:
@@ -295,17 +312,7 @@ def _guided_cycle_trace(g: Graph, length: int) -> FoldTrace:
         step = builder.fold(u, image[u])
         image = _remap_assignment(image, step.vertex_map)
         cycle = [step.vertex_map[c] for c in cycle]
-    while len(cycle) > length:
-        step = builder.fold(cycle[0], cycle[2])
-        cycle = [step.vertex_map[c] for c in cycle]
-        step = builder.fold(cycle[1], cycle[3])
-        cycle = [step.vertex_map[c] for c in cycle]
-        # Positions 2 and 3 are now duplicates of 0 and 1.
-        cycle = cycle[:2] + cycle[4:]
-    trace = builder.trace()
-    if not _is_cycle_graph(trace.final, length):
-        raise AssertionError("guided fold did not end at the target cycle")
-    return trace
+    return _shrink_cycle(builder, cycle, length)
 
 
 def _remap_assignment(image: list, vmap: tuple) -> list:
@@ -315,58 +322,50 @@ def _remap_assignment(image: list, vmap: tuple) -> list:
     return out
 
 
-def _search_fold_closure(g: Graph, length: int,
-                         memo_budget: int) -> Optional[FoldTrace]:
-    if longest_basis_cycle(g) < length:
+def _shrink_cycle(builder: _TraceBuilder, cycle: list, length: int) -> FoldTrace:
+    """Pair-fold the cycle graph ``builder.current``, whose vertices in
+    order are ``cycle``, down to C_length."""
+    while len(cycle) > length:
+        step = builder.fold(cycle[0], cycle[2])
+        cycle = [step.vertex_map[c] for c in cycle]
+        step = builder.fold(cycle[1], cycle[3])
+        cycle = [step.vertex_map[c] for c in cycle]
+        # Positions 2 and 3 are now duplicates of 0 and 1.
+        cycle = cycle[:2] + cycle[4:]
+    trace = builder.trace()
+    if not _is_cycle_graph(trace.final, length):
+        raise AssertionError("fold did not end at the target cycle")
+    return trace
+
+
+def _winding_trace(g: Graph, length: int, bip: Bipartition,
+                   budget: int) -> Optional[FoldTrace]:
+    """Fold g by the least homomorphism onto C_length, vertex 0 at image 0,
+    that winds a fundamental cycle; None when none winds."""
+    colours = np.arange(length)
+    step = (colours[:, None] - colours[None, :]) % length
+    domain = np.ones((g.n, length), dtype=bool)
+    domain[0, 1:] = False
+    if bip.valid:
+        domain &= colours[None, :] % 2 == np.array(bip.side)[:, None]
+        cycles = fundamental_cycle_basis(g).fundamental
+    for block in kernels.state_blocks(g, (step == 1) | (step == length - 1),
+                                      domain, budget=budget):
+        # for odd L every map winds an odd cycle, so the first one will do
+        hit = kernels.first_unbalanced_state(block, length, cycles) if bip.valid else (0,)
+        if hit is not None:
+            image = block[hit[0]].tolist()
+            break
+    else:
         return None
-    root_key = canonical_key(g)
-    memo = {root_key: (g, None, None)}  # key -> (graph, parent key, (x, y))
-    level = [root_key]
-    while level:
-        next_level = {}
-        for key in sorted(level):
-            h = memo[key][0]
-            for x, y in _distance_two_pairs(h):
-                child, _ = elementary_fold(h, x, y)
-                if _is_cycle_graph(child, length):
-                    return _rebuild_trace(g, memo, key, (x, y))
-                if child.n <= length or longest_basis_cycle(child) < length:
-                    continue
-                ck = canonical_key(child)
-                if ck in memo or ck in next_level:
-                    continue
-                next_level[ck] = (child, key, (x, y))
-                if len(memo) + len(next_level) > memo_budget:
-                    raise BudgetExceededError(
-                        f"fold-closure memo exceeded {memo_budget} graphs")
-        memo.update(next_level)
-        level = list(next_level)
-    return None
-
-
-def _distance_two_pairs(g: Graph) -> list:
-    """Every (x, y) with x < y at distance exactly 2, ascending: distinct,
-    non-adjacent, with a common neighbour."""
-    pairs = []
-    for x in range(g.n):
-        reach = set()
-        for w in g.adjacency[x]:
-            reach.update(g.adjacency[w])
-        reach.difference_update(g.adjacency[x])
-        pairs.extend((x, y) for y in sorted(reach) if y > x)
-    return pairs
-
-
-def _rebuild_trace(g: Graph, memo: dict, key, last_step) -> FoldTrace:
-    chain = []
-    while key is not None:
-        _, parent, step = memo[key]
-        if step is not None:
-            chain.append(step)
-        key = parent
-    chain.reverse()
-    chain.append(last_step)
-    return replay_trace(g, chain)
+    builder = _TraceBuilder(g)
+    while True:
+        h = builder.current
+        pairs = [(x, y) for x in range(h.n) for w in h.adjacency[x]
+                 for y in h.adjacency[w] if y > x and image[y] == image[x]]
+        if not pairs:
+            return _shrink_cycle(builder, list(girth_cycle(h).vertices), length)
+        del image[builder.fold(*min(pairs)).merged]  # merged shares kept's image
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +373,7 @@ def _rebuild_trace(g: Graph, memo: dict, key, last_step) -> FoldTrace:
 
 
 def odd_mixing_by_fold(g: Graph, k: int,
-                       memo_budget: int = DEFAULT_MEMO_BUDGET):
+                       budget: int = DEFAULT_STATE_BUDGET):
     """Is g C_{2k+1}-mixing?  Returns (mixing flag, trace or None).
 
     A connected bipartite graph mixes iff it does not fold to C_{4k+2};
@@ -389,7 +388,7 @@ def odd_mixing_by_fold(g: Graph, k: int,
     target = 4 * k + 2
     for comp in connected_components(g):
         sub, _ = induced_subgraph(g, comp)
-        trace = folds_to_cycle(sub, target, memo_budget=memo_budget)
+        trace = folds_to_cycle(sub, target, budget=budget)
         if trace is not None:
             return False, (tuple(comp), trace)
     return True, None
@@ -403,7 +402,7 @@ class ThresholdResult:
 
 
 def circular_mixing_threshold(g: Graph,
-                              memo_budget: int = DEFAULT_MEMO_BUDGET) -> ThresholdResult:
+                              budget: int = DEFAULT_STATE_BUDGET) -> ThresholdResult:
     """Smallest k such that g is C_{2k+1}-mixing (bipartite, connected).
 
     At (2k+1, k) every cycle shorter than 4k+2 is balanced and imbalance is
@@ -419,7 +418,7 @@ def circular_mixing_threshold(g: Graph,
     tested = []
     while 4 * k + 2 <= longest:
         tested.append(k)
-        if odd_mixing_by_fold(g, k, memo_budget=memo_budget)[0]:
+        if odd_mixing_by_fold(g, k, budget=budget)[0]:
             break
         k += 1
     return ThresholdResult(k=k, longest_basis_cycle=longest, tested=tuple(tested))

@@ -21,8 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .kernels import BudgetExceededError
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -483,106 +481,3 @@ def induced_subgraph(g: Graph, vertices) -> tuple:
     remap = {v: i for i, v in enumerate(vs)}
     edges = [(remap[u], remap[v]) for (u, v) in g.edges if u in remap and v in remap]
     return build_graph(len(vs), edges), remap
-
-
-# ---------------------------------------------------------------------------
-# Canonical form for small graphs (memoization of fold searches).
-
-_CANONICAL_VERTEX_GUARD = 16
-_CANONICAL_LEAF_GUARD = 200_000
-
-
-def canonical_key(g: Graph) -> bytes:
-    """Isomorphism-invariant key: equal keys iff isomorphic graphs.
-
-    Backtracking canonical labelling over the leaves of an equitable-
-    refinement search tree; intended for graphs up to ~12 vertices and
-    guarded accordingly.
-    """
-    if g.n > _CANONICAL_VERTEX_GUARD:
-        raise BudgetExceededError(
-            f"canonical_key guarded at {_CANONICAL_VERTEX_GUARD} vertices, got {g.n}")
-    if g.n == 0:
-        return b"\x00"
-    best = _canonical_search(g)
-    return bytes([g.n]) + _pack_bits(best)
-
-
-def _refine(g: Graph, partition: list) -> list:
-    """Equitable refinement: split cells by multiset of neighbour-cell counts."""
-    cells = [list(c) for c in partition]
-    changed = True
-    while changed:
-        changed = False
-        cell_id = {}
-        for i, cell in enumerate(cells):
-            for v in cell:
-                cell_id[v] = i
-        new_cells = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sig = {}
-            for v in cell:
-                counts = [0] * len(cells)
-                for u in g.adjacency[v]:
-                    counts[cell_id[u]] += 1
-                sig.setdefault(tuple(counts), []).append(v)
-            if len(sig) > 1:
-                changed = True
-            for key in sorted(sig):
-                new_cells.append(sorted(sig[key]))
-        cells = new_cells
-    return cells
-
-
-def _canonical_search(g: Graph) -> tuple:
-    """Minimum adjacency bit-tuple over the leaves of the refinement tree."""
-    degrees = {}
-    for v in range(g.n):
-        degrees.setdefault(g.degree(v), []).append(v)
-    initial = [sorted(degrees[d]) for d in sorted(degrees)]
-    best = [None]
-    leaves = [0]
-
-    def descend(cells):
-        cells = _refine(g, cells)
-        target = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                if target is None or len(cells[target]) > len(cell):
-                    target = i
-        if target is None:
-            leaves[0] += 1
-            if leaves[0] > _CANONICAL_LEAF_GUARD:
-                raise BudgetExceededError("canonical_key leaf guard exceeded")
-            order = [c[0] for c in cells]
-            bits = tuple(
-                1 if g.has_edge(order[i], order[j]) else 0
-                for i in range(g.n) for j in range(i + 1, g.n))
-            if best[0] is None or bits < best[0]:
-                best[0] = bits
-            return
-        for v in cells[target]:
-            rest = [u for u in cells[target] if u != v]
-            branched = cells[:target] + [[v], rest] + cells[target + 1:]
-            descend(branched)
-
-    descend(initial)
-    return best[0]
-
-
-def _pack_bits(bits: tuple) -> bytes:
-    out = bytearray()
-    acc = 0
-    k = 0
-    for b in bits:
-        acc = (acc << 1) | b
-        k += 1
-        if k == 8:
-            out.append(acc)
-            acc, k = 0, 0
-    if k:
-        out.append(acc << (8 - k))
-    return bytes(out)

@@ -3,10 +3,12 @@
 States are colour vectors packed into int16 rows; a state's code is its
 mixed-radix value with vertex 0 as the most significant digit, so ascending
 codes equal lexicographic order.  ``state_blocks`` is the one enumerator: it
-streams states in lexicographic blocks and can pin vertices to colour 0.
-The wind scan pins the least vertex of each component: shifting a
-component's colours keeps every cycle weight and changes no earlier vertex,
-so the least unbalanced colouring is pinned.  The kernels are plain numpy.
+streams the maps allowed by an edge table and per-vertex domains in
+lexicographic blocks, colourings for the wind scan and homomorphisms to a
+cycle for fold answers.  The wind scan pins the least vertex of each
+component to colour 0: shifting a component's colours keeps every cycle
+weight and changes no earlier vertex, so the least unbalanced colouring is
+pinned.  The kernels are plain numpy.
 BFS parent trees are deterministic (a state's parent is its lowest-index
 discoverer in the previous level), and the tests hold them to a pure-Python
 reference.
@@ -57,27 +59,24 @@ def state_codes(states: np.ndarray, p: int) -> np.ndarray:
 # Proper-state enumeration (lexicographic).
 
 
-def state_blocks(g, p: int, q: int, pinned=(),
+def state_blocks(g, compat: np.ndarray, domain: np.ndarray,
                  budget: int = DEFAULT_STATE_BUDGET, block: int = 1 << 16):
-    """Yield the proper colour vectors of g at (p,q) in lexicographic order,
+    """Yield the colour vectors of g with ``compat[a, b]`` true on every
+    edge and ``domain[v, c]`` true at every vertex, in lexicographic order,
     as int16 blocks of shape (k, n) with 1 <= k <= ``block``.
 
-    Vertices in ``pinned`` take colour 0 only.  Prefixes are extended one
-    vertex at a time, depth first over slices whose extensions fit in one
-    block, so memory stays near n blocks whatever the state count.  The
-    running count of rows made at each vertex is checked against ``budget``
-    before those rows are built.
+    Prefixes are extended one vertex at a time, depth first over slices
+    whose extensions fit in one block, so memory stays near n blocks
+    whatever the state count.  The running count of rows made at each
+    vertex is checked against ``budget`` before those rows are built.
     """
     n = g.n
     if n == 0:
         yield np.zeros((1, 0), dtype=np.int16)
         return
-    compat = compat_table(p, q)
     indptr, indices = adjacency_csr(g)
     earlier = [[u for u in indices[indptr[v]:indptr[v + 1]] if u < v]
                for v in range(n)]
-    domain = np.ones((n, p), dtype=bool)
-    domain[list(pinned), 1:] = False
     made = [0] * n
 
     def extend(states, v):
@@ -114,7 +113,9 @@ def enumerate_states(g, p: int, q: int,
     """All proper colour vectors of g at (p,q), lexicographic, shape (S, n)."""
     digit_weights(g.n, p)  # every caller codes this table: refuse past 63 bits
     empty = np.zeros((0, g.n), dtype=np.int16)
-    return np.concatenate([empty, *state_blocks(g, p, q, budget=budget)])
+    blocks = state_blocks(g, compat_table(p, q), np.ones((g.n, p), dtype=bool),
+                          budget=budget)
+    return np.concatenate([empty, *blocks])
 
 
 # ---------------------------------------------------------------------------

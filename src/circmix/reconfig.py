@@ -449,8 +449,10 @@ def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
     roots = [c[0] for c in connected_components(g)]
     cycles = fundamental_cycle_basis(g).fundamental
     pinned_count = 0
-    for block in kernels.state_blocks(g, params.p, params.q, pinned=roots,
-                                      budget=budget):
+    compat = kernels.compat_table(params.p, params.q)
+    domain = np.ones((g.n, params.p), dtype=bool)
+    domain[roots, 1:] = False
+    for block in kernels.state_blocks(g, compat, domain, budget=budget):
         hit = kernels.first_unbalanced_state(block, params.p, cycles)
         if hit is not None:
             idx, cyc_positions = hit

@@ -16,7 +16,8 @@ import numpy as np
 
 from circmix.circular import CircularParams, Colouring
 from circmix.generators import grid_graph
-from circmix.graphs import Graph, build_graph, canonical_key, is_connected
+from circmix.graphs import Graph, build_graph, is_connected
+from circmix.kernels import BudgetExceededError
 from circmix.planar import RotationSystem, faces
 
 
@@ -50,6 +51,110 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism key for small graphs: one graph per class in the exhaustive
+# families, and the fold closure of ``brute_folds_to_cycle``.
+
+_CANONICAL_VERTEX_GUARD = 16
+_CANONICAL_LEAF_GUARD = 200_000
+
+
+def canonical_key(g: Graph) -> bytes:
+    """Isomorphism-invariant key: equal keys iff isomorphic graphs.
+
+    Backtracking canonical labelling over the leaves of an equitable-
+    refinement search tree; meant for graphs up to ~12 vertices, and
+    guarded at 16 vertices and 200,000 leaves.
+    """
+    if g.n > _CANONICAL_VERTEX_GUARD:
+        raise BudgetExceededError(
+            f"canonical_key guarded at {_CANONICAL_VERTEX_GUARD} vertices, got {g.n}")
+    if g.n == 0:
+        return b"\x00"
+    best = _canonical_search(g)
+    return bytes([g.n]) + _pack_bits(best)
+
+
+def _refine(g: Graph, partition: list) -> list:
+    """Equitable refinement: split cells by multiset of neighbour-cell counts."""
+    cells = [list(c) for c in partition]
+    changed = True
+    while changed:
+        changed = False
+        cell_id = {}
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_id[v] = i
+        new_cells = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                counts = [0] * len(cells)
+                for u in g.adjacency[v]:
+                    counts[cell_id[u]] += 1
+                sig.setdefault(tuple(counts), []).append(v)
+            if len(sig) > 1:
+                changed = True
+            for key in sorted(sig):
+                new_cells.append(sorted(sig[key]))
+        cells = new_cells
+    return cells
+
+
+def _canonical_search(g: Graph) -> tuple:
+    """Minimum adjacency bit-tuple over the leaves of the refinement tree."""
+    degrees = {}
+    for v in range(g.n):
+        degrees.setdefault(g.degree(v), []).append(v)
+    initial = [sorted(degrees[d]) for d in sorted(degrees)]
+    best = [None]
+    leaves = [0]
+
+    def descend(cells):
+        cells = _refine(g, cells)
+        target = None
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                if target is None or len(cells[target]) > len(cell):
+                    target = i
+        if target is None:
+            leaves[0] += 1
+            if leaves[0] > _CANONICAL_LEAF_GUARD:
+                raise BudgetExceededError("canonical_key leaf guard exceeded")
+            order = [c[0] for c in cells]
+            bits = tuple(
+                1 if g.has_edge(order[i], order[j]) else 0
+                for i in range(g.n) for j in range(i + 1, g.n))
+            if best[0] is None or bits < best[0]:
+                best[0] = bits
+            return
+        for v in cells[target]:
+            rest = [u for u in cells[target] if u != v]
+            branched = cells[:target] + [[v], rest] + cells[target + 1:]
+            descend(branched)
+
+    descend(initial)
+    return best[0]
+
+
+def _pack_bits(bits: tuple) -> bytes:
+    out = bytearray()
+    acc = 0
+    k = 0
+    for b in bits:
+        acc = (acc << 1) | b
+        k += 1
+        if k == 8:
+            out.append(acc)
+            acc, k = 0, 0
+    if k:
+        out.append(acc << (8 - k))
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +214,34 @@ def random_connected_bipartite(n: int, count: int, seed: int) -> list:
         if is_connected(g):
             out.append(g)
     return out
+
+
+def random_sparse_bipartite(rng: random.Random, max_n: int = 18) -> Graph:
+    """A connected bipartite graph of at most ``max_n`` vertices: an even
+    cycle of 4-12 vertices, up to 3 paths of 1-6 edges between two of its
+    vertices so far (lengthened by one where needed to stay bipartite), and
+    up to 3 pendant vertices; labels shuffled."""
+    length = rng.randrange(4, 13, 2)
+    side = [v % 2 for v in range(length)]
+    edges = {(v, v + 1) for v in range(length - 1)} | {(0, length - 1)}
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(len(side)), 2)
+        hops = rng.randint(1, 6)
+        hops += hops % 2 != (side[u] != side[v])
+        if len(side) + hops - 1 > max_n:
+            continue
+        inner = list(range(len(side), len(side) + hops - 1))
+        side += [(side[u] + 1 + i) % 2 for i in range(hops - 1)]
+        chain = [u] + inner + [v]
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])}
+    for _ in range(rng.randint(0, 3)):
+        if len(side) < max_n:
+            u = rng.randrange(len(side))
+            edges.add((u, len(side)))
+            side.append(1 - side[u])
+    label = list(range(len(side)))
+    rng.shuffle(label)
+    return build_graph(len(side), [(label[u], label[v]) for u, v in edges])
 
 
 def random_plane_bipartite(rng: random.Random) -> tuple:

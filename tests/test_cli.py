@@ -332,8 +332,8 @@ class TestOtherCommands:
             "fold-tested k = [1])\n"), "")
 
     def test_large_grid_needs_no_fold_search(self, tmp_path, monkeypatch, capsys):
-        # 30 vertices, past canonical_key's guard: the minimum cycle basis
-        # is all 4-cycles, so both answers come without a closure search
+        # 30 vertices whose minimum cycle basis is all 4-cycles, so both
+        # answers come without a homomorphism scan
         monkeypatch.chdir(tmp_path)
         run(capsys, "gen", "grid", "5", "6", "--out", "g.txt")
         assert run(capsys, "threshold", "g.txt") == (0, (
@@ -341,16 +341,31 @@ class TestOtherCommands:
             "fold-tested k = [])\n"), "")
         assert run(capsys, "fold-search", "g.txt", "-L", "6") == (1, "NONE\n", "")
 
-    def test_canonical_key_guard_is_a_budget(self, tmp_path, monkeypatch, capsys):
-        # 19 vertices with girth 8: C_10 needs a closure search, whose keys
-        # are guarded at 16 vertices
+    def test_fold_answers_past_sixteen_vertices(self, tmp_path, monkeypatch, capsys):
+        # 19 vertices with girth 8: C_10 needs the homomorphism scan, which
+        # has no vertex cap
         monkeypatch.chdir(tmp_path)
         run(capsys, "gen", "theta", "4", "4", "12", "--out", "t.txt")
-        for argv in (("fold-search", "t.txt", "-L", "10"), ("threshold", "t.txt"),
-                     ("mix", "t.txt", "-p", "5", "-q", "2", "--method", "fold")):
-            code, out, err = run(capsys, *argv)
-            assert code == 3
-            assert err == "budget exceeded: canonical_key guarded at 16 vertices, got 19\n"
+        assert run(capsys, "mix", "t.txt", "-p", "5", "-q", "2", "--method", "fold",
+                   "--certificate", "t.trace") == (
+            1, "NOT-MIXING\ncertificate: t.trace\n", "")
+        assert run(capsys, "fold-search", "t.txt", "-L", "10", "--out", "t10.trace") == (
+            0, "folds to C_10 in 9 step(s)\n", "")
+        for cert in ("t.trace", "t10.trace"):
+            assert run(capsys, "verify", cert) == (0, "PASS\n", "")
+        assert run(capsys, "threshold", "t.txt") == (0, (
+            "threshold k = 4 (target cycle C_9; longest basis cycle 16; "
+            "fold-tested k = [1, 2, 3])\n"), "")
+
+    def test_fold_budget(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "figure1", "--out", "fig1.txt")
+        code, out, err = run(capsys, "fold-search", "fig1.txt", "-L", "6", "--budget", "3")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: more than 3 partial states at vertex 2\n"
+        code, out, err = run(capsys, "mix", "fig1.txt", "-p", "3", "-q", "1",
+                             "--method", "fold", "--budget", "3")
+        assert (code, out) == (3, "")
 
     def test_min_cycle(self, capsys):
         code, out, _ = run(capsys, "min-cycle", "-p", "5", "-q", "2")
@@ -424,7 +439,7 @@ class TestGoldenOutput:
 
     Kernel and graph-search changes must keep every deterministic choice:
     the least unbalanced colouring, the shortest odd cycle, the girth cycle
-    behind a retraction, and the fold-closure visiting order.
+    behind a retraction, and the least winding map behind a fold trace.
     """
 
     C10_WITNESS = ("witness\ngraph: c10.txt\np: 5\nq: 2\ncolouring:\n"
@@ -441,8 +456,8 @@ class TestGoldenOutput:
                  "target: 6\nfold 0 2\nfold 1 2\nfold 0 2\nfold 1 2\nfinal:\n"
                  "0 1\n0 5\n1 2\n2 3\n3 4\n4 5\nend\n")
     FIGURE1_SEARCH = ("folds to C_8 in 6 step(s)\nfold-trace\ngraph: fig1.txt\n"
-                      "target: 8\nfold 0 2\nfold 0 5\nfold 2 4\nfold 2 5\n"
-                      "fold 1 2\nfold 1 3\nfinal:\n0 1\n0 3\n1 2\n2 7\n3 4\n"
+                      "target: 8\nfold 0 2\nfold 0 5\nfold 1 2\nfold 1 3\n"
+                      "fold 1 3\nfold 1 3\nfinal:\n0 1\n0 3\n1 2\n2 7\n3 4\n"
                       "4 5\n5 6\n6 7\nend\n")
     # C8 plus the chord 2-7 at (3,1): the unbalanced basis cycle 0..7 shrinks
     # across the chord to its wrapped part 2..7

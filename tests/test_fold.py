@@ -1,22 +1,26 @@
+import itertools
+import random
+
 import pytest
 
 import support
 from circmix.circular import CircularParams
-from circmix.fold import (DEFAULT_MEMO_BUDGET, circular_mixing_threshold,
-                          elementary_fold, folds_to_cycle, is_homomorphism_onto,
+from circmix.fold import (circular_mixing_threshold, elementary_fold,
+                          folds_to_cycle, is_homomorphism_onto,
                           odd_mixing_by_fold, reduce_dominated, replay_trace,
                           retract_to_path, retract_to_shortest_cycle,
-                          _is_cycle_graph, _search_fold_closure)
+                          _is_cycle_graph, _winding_trace)
 from circmix.generators import pinched_octagon
-from circmix.graphs import build_graph, canonical_key, distance
-from circmix.reconfig import is_mixing_oracle
+from circmix.graphs import bipartition, build_graph, distance, is_connected
+from circmix.kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
+from circmix.reconfig import is_mixing_oracle, is_mixing_wind
 
 P31 = CircularParams(3, 1)
 P52 = CircularParams(5, 2)
 
 
 def keyeq(g, h):
-    return canonical_key(g) == canonical_key(h)
+    return support.canonical_key(g) == support.canonical_key(h)
 
 
 class TestElementaryFold:
@@ -154,12 +158,59 @@ class TestFoldsToCycle:
         assert cases == 525
 
     def test_guided_and_search_agree_on_girth_cases(self):
-        # run the closure search on an input the fast path would take
+        # run the winding construction on an input the fast path would take
         g = support.cycle(10)
         fast = folds_to_cycle(g, 6)
-        slow = _search_fold_closure(g, 6, DEFAULT_MEMO_BUDGET)
+        slow = _winding_trace(g, 6, bipartition(g), DEFAULT_STATE_BUDGET)
         assert fast is not None and slow is not None
         assert _is_cycle_graph(fast.final, 6) and _is_cycle_graph(slow.final, 6)
+
+
+class TestWindingConstruction:
+    def test_seeded_sweep(self):
+        # random connected graphs: every target the brute-force closure walk
+        # can settle, positives replaying onto the cycle
+        rng = random.Random(16)
+        graphs = positives = 0
+        while graphs < 40:
+            n = rng.choice((7, 8))
+            g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.3])
+            if not is_connected(g):
+                continue
+            graphs += 1
+            for length in range(3, n + 1):
+                trace = folds_to_cycle(g, length)
+                assert (trace is not None) == support.brute_folds_to_cycle(g, length), \
+                    (g.edges, length)
+                if trace is not None:
+                    positives += 1
+                    assert _is_cycle_graph(replay_trace(g, trace.steps).final, length)
+        # sparse bipartite graphs: the fold answer is the wind answer, and
+        # every NOT-MIXING trace replays onto C_{4k+2}
+        wrapped = 0
+        for _ in range(100):
+            g = support.random_sparse_bipartite(rng)
+            for k in (1, 2, 3):
+                mixing, payload = odd_mixing_by_fold(g, k)
+                wind = is_mixing_wind(g, CircularParams(2 * k + 1, k))
+                assert mixing == (wind.status == "mixing"), (g.edges, k)
+                if not mixing:
+                    wrapped += 1
+                    _, trace = payload
+                    final = replay_trace(trace.source, trace.steps).final
+                    assert _is_cycle_graph(final, 4 * k + 2)
+        assert positives >= 30 and wrapped >= 100, (positives, wrapped)
+
+    def test_parity_domain(self):
+        # vertices 0-11 form one side, so none has an earlier neighbour:
+        # without its side's parity each takes any of 6 images and the scan
+        # passes 10M partial maps at vertex 11; with it, the first block of
+        # 3,292 maps holds a winding one
+        g = support.random_connected_bipartite(16, 4, 16)[3]
+        mixing, (_, trace) = odd_mixing_by_fold(g, 1)
+        assert not mixing and is_mixing_wind(g, P31).status == "not-mixing"
+        assert _is_cycle_graph(replay_trace(g, trace.steps).final, 6)
 
 
 class TestOddMixing:
@@ -267,14 +318,12 @@ class TestNonBipartiteFolds:
         trace = folds_to_cycle(g, 5)
         assert trace is not None and _is_cycle_graph(trace.final, 5)
 
-    def test_memo_budget(self):
-        from circmix.kernels import BudgetExceededError
-
-        # girth 4 forces the closure search for L=6, and the 8-cycles in its
-        # minimum basis keep the root alive
+    def test_state_budget(self):
+        # girth 4 forces the homomorphism scan for L=6, and the 8-cycles in
+        # its minimum basis keep it from the prune
         g = pinched_octagon().graph
         with pytest.raises(BudgetExceededError):
-            folds_to_cycle(g, 6, memo_budget=3)
+            folds_to_cycle(g, 6, budget=3)
 
 
 def test_non_bipartite_cannot_reach_even_cycles():

@@ -156,7 +156,10 @@ def test_blocks_are_the_pinned_state_table(g, p, q):
     for pinned in ([], [0], [0, g.n - 1]):
         want = states[np.all(states[:, pinned] == 0, axis=1)]
         for block in (7, 1 << 16):
-            blocks = list(kernels.state_blocks(g, p, q, pinned=pinned, block=block))
+            domain = np.ones((g.n, p), dtype=bool)
+            domain[pinned, 1:] = False
+            blocks = list(kernels.state_blocks(g, compat_table(p, q), domain,
+                                               block=block))
             assert all(1 <= b.shape[0] <= block for b in blocks)
             got = np.concatenate(blocks) if blocks else states[:0]
             assert np.array_equal(got, want)

@@ -550,7 +550,9 @@ class TestPinnedWindScan:
         g = support.path(4)
         assert len(list(enumerate_colourings(g, P72, budget=448))) == 448
         for stream in (lambda: enumerate_colourings(g, P72, budget=447),
-                       lambda: kernels.state_blocks(g, 7, 2, budget=447)):
+                       lambda: kernels.state_blocks(g, kernels.compat_table(7, 2),
+                                                    np.ones((4, 7), dtype=bool),
+                                                    budget=447)):
             with pytest.raises(BudgetExceededError, match="more than 447 proper states"):
                 list(stream())
 
