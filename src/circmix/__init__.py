@@ -11,7 +11,7 @@ procedure for embedded planar graphs at 3 <= p/q < 4.
 
 from .circular import (CircularParams, Colouring, WindReport, circular_clique,
                        cycle_wind, edge_weight, enumerate_colourings, reflect,
-                       shift, transform, validate_colouring, walk_weight)
+                       shift, validate_colouring, walk_weight)
 from .graphs import (Bipartition, BlockDecomposition, Cycle, CycleBasis, Graph,
                      bipartition, blocks, build_graph, distance,
                      enumerate_cycles, fundamental_cycle_basis)

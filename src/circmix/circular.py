@@ -197,11 +197,3 @@ def reflect(f: Colouring) -> Colouring:
                      colours=tuple((p - x) % p for x in f.colours),
                      host=f.host)
 
-
-def transform(f: Colouring, kind: str, amount: int = 1) -> Colouring:
-    """Colour-symmetry transforms: kind is 'shift' (with amount) or 'reflect'."""
-    if kind == "shift":
-        return shift(f, amount)
-    if kind == "reflect":
-        return reflect(f)
-    raise ValueError(f"unknown transform {kind!r}")

@@ -177,12 +177,12 @@ def retract_to_path(g: Graph, x: int, y: int) -> RetractionMap:
     bipartiteness keeps adjacent vertices on adjacent levels so the zigzag
     is a homomorphism.
     """
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"path ends ({x},{y}) out of range 0..{g.n - 1}")
     if not bipartition(g).valid:
         raise ValueError("path retraction requires a bipartite graph")
     if not is_connected(g):
         raise ValueError("path retraction requires a connected graph")
-    if not 0 <= y < g.n:
-        raise ValueError(f"no path between {x} and {y}")
     parent, depth, _ = bfs_forest(g.adjacency, (x,))
     path = tree_path(parent, y)[::-1]
     k = len(path) - 1
@@ -257,8 +257,9 @@ def folds_to_cycle(g: Graph, length: int,
     parity, so each vertex of a bipartite g takes only images of its side's
     parity, which loses no homomorphism and cuts partial maps that cannot
     extend.  For odd L every phi winds an odd cycle of a non-bipartite g (an
-    odd closed walk cannot balance), so the first phi will do.  ``budget``
-    caps the partial maps of that scan.
+    odd closed walk cannot balance), so the scan stops at the first phi.
+    ``kernels.first_unbalanced`` runs the scan; ``budget`` caps its partial
+    maps.
 
     Two answers need no scan.  A bipartite g with girth >= length retracts
     onto a shortest cycle fold by fold, then pair-folds it down.  And g
@@ -348,16 +349,11 @@ def _winding_trace(g: Graph, length: int, bip: Bipartition,
     domain[0, 1:] = False
     if bip.valid:
         domain &= colours[None, :] % 2 == np.array(bip.side)[:, None]
-        cycles = fundamental_cycle_basis(g).fundamental
-    for block in kernels.state_blocks(g, (step == 1) | (step == length - 1),
-                                      domain, budget=budget):
-        # for odd L every map winds an odd cycle, so the first one will do
-        hit = kernels.first_unbalanced_state(block, length, cycles) if bip.valid else (0,)
-        if hit is not None:
-            image = block[hit[0]].tolist()
-            break
-    else:
+    row, _ = kernels.first_unbalanced(g, (step == 1) | (step == length - 1), domain,
+                                      fundamental_cycle_basis(g).fundamental, budget)
+    if row is None:
         return None
+    image = row.tolist()
     builder = _TraceBuilder(g)
     while True:
         h = builder.current
@@ -418,7 +414,7 @@ def circular_mixing_threshold(g: Graph,
     tested = []
     while 4 * k + 2 <= longest:
         tested.append(k)
-        if odd_mixing_by_fold(g, k, budget=budget)[0]:
+        if folds_to_cycle(g, 4 * k + 2, budget=budget) is None:
             break
         k += 1
     return ThresholdResult(k=k, longest_basis_cycle=longest, tested=tuple(tested))

@@ -186,31 +186,26 @@ def tree_path(parent, v: int) -> list:
     return path
 
 
+def _tree_cycle(parent, u: int, v: int) -> list:
+    """``[u, ..., a, ..., v]``: the tree paths from u and v joined at their
+    lowest common ancestor a, so a non-tree edge u-v closes it into a cycle."""
+    pu, pv = tree_path(parent, u), tree_path(parent, v)
+    while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
+        pu.pop()
+        pv.pop()
+    return pu + pv[:-1][::-1]
+
+
 def fundamental_cycle_basis(g: Graph) -> CycleBasis:
     """BFS spanning forest (rooted at the lowest vertex of each component)
     and the fundamental cycle of every non-tree edge."""
-    parent, depth, order = bfs_forest(g.adjacency, range(g.n))
+    parent, _, order = bfs_forest(g.adjacency, range(g.n))
     tree = {(min(parent[v], v), max(parent[v], v)) for v in order if parent[v] != -1}
     fundamental = []
     for (u, v) in sorted(g.edges):
         if (u, v) in tree:
             continue
-        # Tree path u..lca followed by lca..v, closed by the non-tree edge.
-        pu, pv = [u], [v]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            a = parent[a]
-            pu.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            pv.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            pu.append(a)
-            pv.append(b)
-        cycle_vertices = pu + list(reversed(pv[:-1]))
-        fundamental.append(Cycle.from_vertices(cycle_vertices))
+        fundamental.append(Cycle.from_vertices(_tree_cycle(parent, u, v)))
     return CycleBasis(tree_edges=frozenset(tree), fundamental=tuple(fundamental))
 
 
@@ -278,12 +273,7 @@ def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
                     queue.append(v)
                 elif parent[u] != v and (not odd or dist[v] == dist[u]):
                     # Cross or level edge closes a cycle through s.
-                    pu, pv = tree_path(parent, u), tree_path(parent, v)
-                    common = set(pu) & set(pv)
-                    # Trim to the first common ancestor.
-                    iu = next(i for i, x in enumerate(pu) if x in common)
-                    iv = next(i for i, x in enumerate(pv) if x in common)
-                    vs = pu[: iu + 1] + list(reversed(pv[:iv]))
+                    vs = _tree_cycle(parent, u, v)
                     if best is None or len(vs) < len(best):
                         best = vs
         if best is not None and len(best) == 3:
@@ -456,6 +446,8 @@ def _pop_block(edge_stack: list, top_edge: tuple) -> Block:
 
 def distance(g: Graph, u: int, v: int) -> Optional[int]:
     """BFS hop count from u to v; None when unreachable."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"vertices ({u},{v}) out of range 0..{g.n - 1}")
     d = bfs_forest(g.adjacency, (u,))[1][v]
     return None if d == -1 else d
 

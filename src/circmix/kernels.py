@@ -4,8 +4,10 @@ States are colour vectors packed into int16 rows; a state's code is its
 mixed-radix value with vertex 0 as the most significant digit, so ascending
 codes equal lexicographic order.  ``state_blocks`` is the one enumerator: it
 streams the maps allowed by an edge table and per-vertex domains in
-lexicographic blocks, colourings for the wind scan and homomorphisms to a
-cycle for fold answers.  The wind scan pins the least vertex of each
+lexicographic blocks.  ``first_unbalanced`` is the one balance scan over
+those blocks: it stops at the first map that unbalances a cycle, and it
+answers both the wind scan (colourings) and the fold construction
+(homomorphisms to a cycle).  The wind scan pins the least vertex of each
 component to colour 0: shifting a component's colours keeps every cycle
 weight and changes no earlier vertex, so the least unbalanced colouring is
 pinned.  The kernels are plain numpy.
@@ -218,7 +220,7 @@ def component_labels(states, codes, g, p: int, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized per-colouring cycle-weight sums.
+# Vectorized per-colouring cycle-weight sums and the balance scan.
 
 
 def cycle_weight_sums(states: np.ndarray, p: int, cycle) -> np.ndarray:
@@ -230,29 +232,25 @@ def cycle_weight_sums(states: np.ndarray, p: int, cycle) -> np.ndarray:
     return w.sum(axis=1)
 
 
-def first_unbalanced_state(states: np.ndarray, p: int, cycles,
-                           chunk: int = 1 << 16):
-    """First (state index, cycle position) whose cycle weight misses
-    (|E|/2)*p, scanning states lexicographically; None if all balanced.
+def first_unbalanced(g, compat: np.ndarray, domain: np.ndarray, cycles,
+                     budget: int = DEFAULT_STATE_BUDGET) -> tuple:
+    """The balance scan: stream the maps of ``state_blocks`` and stop at the
+    first one that unbalances a cycle, one whose weight W misses 2W = |C|*m
+    with m = ``compat.shape[0]`` (so an odd cycle is never balanced).
 
-    Cycles must all be even; chunked to keep memory flat.
+    Returns (first unbalanced map row, positions in ``cycles`` of the cycles
+    it unbalances), or (None, number of maps scanned) when every map
+    balances every cycle.  ``budget`` caps the maps as in ``state_blocks``.
     """
-    S = states.shape[0]
-    cy = list(cycles)
-    required = [(len(c) // 2) * p for c in cy]
-    for c in cy:
-        if len(c) % 2 != 0:
-            raise ValueError("balance scan expects even cycles")
-    for lo in range(0, S, chunk):
-        block = states[lo:lo + chunk]
-        any_bad = np.zeros(block.shape[0], dtype=bool)
-        bad_per_cycle = []
-        for j, c in enumerate(cy):
-            bad = cycle_weight_sums(block, p, c) != required[j]
-            bad_per_cycle.append(bad)
-            any_bad |= bad
-        if any_bad.any():
-            i = int(np.argmax(any_bad))
-            cyc = [j for j in range(len(cy)) if bad_per_cycle[j][i]]
-            return lo + i, cyc
-    return None
+    m = compat.shape[0]
+    scanned = 0
+    for block in state_blocks(g, compat, domain, budget=budget):
+        bad = np.zeros((len(cycles), block.shape[0]), dtype=bool)
+        for j, c in enumerate(cycles):
+            bad[j] = 2 * cycle_weight_sums(block, m, c) != len(c) * m
+        hit = bad.any(axis=0)
+        if hit.any():
+            i = int(np.argmax(hit))
+            return block[i], np.flatnonzero(bad[:, i]).tolist()
+        scanned += block.shape[0]
+    return None, scanned

@@ -149,9 +149,8 @@ def _state_index(codes: np.ndarray, f: Colouring) -> int:
     return i
 
 
-def _colouring_at(states: np.ndarray, i: int, g: Graph,
-                  params: CircularParams) -> Colouring:
-    return Colouring(params=params, colours=tuple(int(x) for x in states[i]), host=g)
+def _row_colouring(row: np.ndarray, g: Graph, params: CircularParams) -> Colouring:
+    return Colouring(params=params, colours=tuple(int(x) for x in row), host=g)
 
 
 def is_mixing_oracle(g: Graph, params: CircularParams,
@@ -171,8 +170,8 @@ def is_mixing_oracle(g: Graph, params: CircularParams,
         return MixingVerdict(status="mixing", state_count=states.shape[0],
                              component_count=1)
     j = int(np.argmax(labels != labels[0]))
-    pair = (_colouring_at(states, 0, g, params),
-            _colouring_at(states, j, g, params))
+    pair = (_row_colouring(states[0], g, params),
+            _row_colouring(states[j], g, params))
     return MixingVerdict(status="not-mixing", state_count=states.shape[0],
                          component_count=ncomp, split_pair=pair)
 
@@ -191,7 +190,7 @@ def is_reachable_oracle(f: Colouring, g: Colouring,
                                        f.params.q, i, target=j)
     if not visited[j]:
         return False, None
-    return True, [_colouring_at(states, k, host, f.params)
+    return True, [_row_colouring(states[k], host, f.params)
                   for k in reversed(tree_path(parent, j))]
 
 
@@ -440,32 +439,26 @@ def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
     """The balance scan of a bipartite graph.
 
     Only colourings giving the least vertex of each component colour 0 are
-    scanned, block by block, and the scan stops at the first unbalanced
-    one: shifting a component's colours keeps every cycle weight and moves
-    its least vertex to 0 without changing any earlier position, so the
-    least unbalanced colouring is among them.  ``budget`` caps those
+    scanned, by ``kernels.first_unbalanced``, which stops at the first
+    unbalanced one: shifting a component's colours keeps every cycle weight
+    and moves its least vertex to 0 without changing any earlier position,
+    so the least unbalanced colouring is among them.  ``budget`` caps those
     pinned states.
     """
     roots = [c[0] for c in connected_components(g)]
     cycles = fundamental_cycle_basis(g).fundamental
-    pinned_count = 0
-    compat = kernels.compat_table(params.p, params.q)
     domain = np.ones((g.n, params.p), dtype=bool)
     domain[roots, 1:] = False
-    for block in kernels.state_blocks(g, compat, domain, budget=budget):
-        hit = kernels.first_unbalanced_state(block, params.p, cycles)
-        if hit is not None:
-            idx, cyc_positions = hit
-            f = _colouring_at(block, idx, g, params)
-            unbalanced = [cycles[j] for j in cyc_positions]
-            unbalanced.sort(key=lambda c: (len(c), c.vertices))
-            witness = _make_witness(f, unbalanced[0].vertices)
-            return MixingVerdict(status="not-mixing", witness=witness)
-        pinned_count += block.shape[0]
-    if pinned_count == 0:
+    row, found = kernels.first_unbalanced(
+        g, kernels.compat_table(params.p, params.q), domain, cycles, budget)
+    if row is not None:
+        f = _row_colouring(row, g, params)
+        shortest = min((cycles[j] for j in found), key=lambda c: (len(c), c.vertices))
+        return MixingVerdict(status="not-mixing",
+                             witness=_make_witness(f, shortest.vertices))
+    if found == 0:
         return MixingVerdict(status="vacuous", state_count=0)
-    return MixingVerdict(status="mixing",
-                         state_count=pinned_count * params.p ** len(roots))
+    return MixingVerdict(status="mixing", state_count=found * params.p ** len(roots))
 
 
 def mixing_basis(g: Graph, params: CircularParams) -> Optional[MixingBasis]:

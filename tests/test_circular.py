@@ -7,8 +7,7 @@ import pytest
 import support
 from circmix.circular import (CircularParams, circular_clique,
                               cycle_wind, edge_weight, enumerate_colourings,
-                              reflect, shift, transform, validate_colouring,
-                              walk_weight)
+                              reflect, shift, validate_colouring, walk_weight)
 from circmix.graphs import Cycle, build_graph
 
 
@@ -285,7 +284,5 @@ class TestTransforms:
     def test_transform_dispatch(self):
         g = build_graph(2, [(0, 1)])
         f = support.colouring(g, P52, (0, 2))
-        assert transform(f, "shift", 2).colours == (2, 4)
-        assert transform(f, "reflect").colours == (0, 3)
-        with pytest.raises(ValueError):
-            transform(f, "rotate")
+        assert shift(f, 2).colours == (2, 4)
+        assert reflect(f).colours == (0, 3)

@@ -293,6 +293,12 @@ class TestRetractions:
         with pytest.raises(ValueError):
             retract_to_path(support.cycle(5), 0, 2)
 
+    def test_rejects_ends_out_of_range(self):
+        g = support.path(5)
+        for x, y in ((-1, 0), (0, -1), (5, 0), (0, 5)):
+            with pytest.raises(ValueError):
+                retract_to_path(g, x, y)
+
     def test_cycle_retraction_on_random_bipartite(self):
         for g in support.connected_bipartite_upto_iso(6):
             from circmix.graphs import girth_cycle

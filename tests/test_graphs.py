@@ -211,6 +211,12 @@ class TestDistance:
         g = build_graph(4, [(0, 1)])
         assert distance(g, 0, 3) is None
 
+    def test_rejects_vertices_out_of_range(self):
+        g = support.path(5)
+        for u, v in ((-1, 0), (0, -1), (5, 0), (0, 5)):
+            with pytest.raises(ValueError):
+                distance(g, u, v)
+
 
 class TestCycleHelpers:
     def test_girth(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -171,24 +172,78 @@ def test_code_overflow_guard():
         kernels.digit_weights(40, 7)
 
 
-def test_first_unbalanced_state():
-    from circmix.graphs import fundamental_cycle_basis
+def _first_unbalanced(g, p, q, cycles, block=None):
+    # full (p,q) domain; block=None keeps state_blocks' own block size
+    scan = kernels.first_unbalanced
+    domain = np.ones((g.n, p), dtype=bool)
+    if block is None:
+        return scan(g, compat_table(p, q), domain, cycles)
+    orig = kernels.state_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "state_blocks",
+                   lambda *a, **k: orig(*a, **k, block=block))
+        return scan(g, compat_table(p, q), domain, cycles)
+
+
+def test_first_unbalanced():
+    from circmix.graphs import build_graph, fundamental_cycle_basis
 
     g, p, q = support.cycle(10), 5, 2
     states = enumerate_states(g, p, q)
     basis = fundamental_cycle_basis(g).fundamental
-    hit = kernels.first_unbalanced_state(states, p, basis, chunk=64)
-    assert hit is not None
-    idx, cyc = hit
-    # everything before idx is balanced
-    w = kernels.cycle_weight_sums(states[:idx], p, basis[0])
-    assert np.all(w == 25)
-    assert kernels.cycle_weight_sums(states[idx:idx + 1], p, basis[0])[0] != 25
-
-    g8 = support.cycle(8)
-    states8 = enumerate_states(g8, p, q)
+    g8, g5 = support.cycle(8), support.cycle(5)
     basis8 = fundamental_cycle_basis(g8).fundamental
-    assert kernels.first_unbalanced_state(states8, p, basis8) is None
+    basis5 = fundamental_cycle_basis(g5).fundamental
+    for block in (None, 7):  # the same answers from blocks of 7 rows
+        row, found = _first_unbalanced(g, p, q, basis, block)
+        assert found == [0]
+        idx = int(np.flatnonzero(np.all(states == row, axis=1))[0])
+        # everything before idx is balanced
+        assert idx > 0
+        assert np.all(kernels.cycle_weight_sums(states[:idx], p, basis[0]) == 25)
+        assert kernels.cycle_weight_sums(states[idx:idx + 1], p, basis[0])[0] != 25
+
+        assert _first_unbalanced(g8, p, q, basis8, block) == \
+            (None, enumerate_states(g8, p, q).shape[0])
+
+        # an odd cycle is unbalanced under every map, the first included
+        row, found = _first_unbalanced(g5, 5, 2, basis5, block)
+        assert row.tolist() == enumerate_states(g5, 5, 2)[0].tolist()
+        assert found == [0]
+
+        # no cycles: every map is balanced
+        assert _first_unbalanced(build_graph(3, []), 3, 1, (), block) == (None, 27)
+
+
+def test_first_unbalanced_matches_cycle_wind():
+    # the first colouring, in lexicographic order, that wraps a basis cycle
+    from circmix.graphs import build_graph, fundamental_cycle_basis
+    from circmix.circular import cycle_wind
+
+    rng = random.Random(17)
+    graphs = [support.cycle(6), support.grid(2, 3)]
+    graphs += support.random_connected_bipartite(6, 6, 17)
+    for _ in range(16):
+        n = rng.randint(3, 6)
+        graphs.append(build_graph(n, {tuple(sorted(rng.sample(range(n), 2)))
+                                      for _ in range(rng.randint(n - 1, n + 3))}))
+    kinds = set()
+    cases = itertools.product(graphs, [(5, 2), (6, 2), (7, 2), (7, 3)])
+    for i, (g, (p, q)) in enumerate(cases):
+        cycles = fundamental_cycle_basis(g).fundamental
+        want, count = None, 0
+        for f in enumerate_colourings(g, CircularParams(p, q)):
+            found = [j for j, c in enumerate(cycles) if cycle_wind(f, c).wrapped]
+            if found:
+                want = (list(f.colours), found)
+                break
+            count += 1
+        row, found = _first_unbalanced(g, p, q, cycles, block=7 if i % 2 else None)
+        got = (row.tolist(), found) if row is not None else (None, found)
+        assert got == (want or (None, count)), (sorted(g.edges), p, q)
+        kinds.add((want is None, any(len(c) % 2 for c in cycles)))
+    # balanced and unbalanced even graphs, and odd ones
+    assert kinds >= {(True, False), (False, False), (False, True)}
 
 
 def test_edgeless_graphs():
