@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import files, fold, planar, reconfig
@@ -46,6 +47,14 @@ def _write(path, text):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _graph_ref(graph: str, path) -> str:
+    """The graph path a certificate written to ``path`` records: relative
+    to the certificate's directory, where ``verify`` resolves it."""
+    if path == "-" or path is None:
+        return graph
+    return os.path.relpath(graph, os.path.dirname(os.path.abspath(path)))
 
 
 # generator name -> (argument count, factory over the integer arguments)
@@ -113,20 +122,20 @@ def cmd_mix(args) -> int:
         if args.explain:
             _write(args.explain, json.dumps(explanation.to_dict(), indent=2) + "\n")
     text = None
+    graph_ref = _graph_ref(args.graph, args.certificate)
     if verdict.status == "not-mixing" and args.certificate:
         if args.method == "fold":
             component, trace = trace_payload
-            text = files.serialize_fold_trace(
-                trace, graph_ref=args.graph, component=component,
-                target=4 * params.q + 2)
+            text = files.serialize_fold_trace(trace, graph_ref=graph_ref,
+                                              component=component)
         else:
             if witness is None:
                 witness = reconfig.is_mixing_wind(g, params, budget=args.budget).witness
-            text = files.serialize_witness(witness, graph_ref=args.graph)
+            text = files.serialize_witness(witness, graph_ref=graph_ref)
     elif verdict.mixing and args.certificate and args.method == "wind":
         basis = reconfig.mixing_basis(g, params)  # None when the scan decided
         if basis is not None:
-            text = files.serialize_mixing_basis(basis, graph_ref=args.graph)
+            text = files.serialize_mixing_basis(basis, graph_ref=graph_ref)
     if text is not None:
         _write(args.certificate, text)
         print(f"certificate: {args.certificate}")
@@ -171,8 +180,8 @@ def cmd_fold_search(args) -> int:
         print("NONE")
         return EXIT_NO
     print(f"folds to C_{args.length} in {len(trace.steps)} step(s)")
-    _write(args.out, files.serialize_fold_trace(trace, graph_ref=args.graph,
-                                                target=args.length))
+    _write(args.out, files.serialize_fold_trace(
+        trace, graph_ref=_graph_ref(args.graph, args.out)))
     return EXIT_YES
 
 

@@ -270,13 +270,12 @@ def parse_mixing_basis(text: str, base_dir: str = ".") -> MixingBasis:
 # Fold trace files.
 
 
-def serialize_fold_trace(trace: FoldTrace, graph_ref: str,
-                         component=None, target=None) -> str:
+def serialize_fold_trace(trace: FoldTrace, graph_ref: str, component=None) -> str:
+    """The trace as text; its ``target:`` is the cycle length it ends on."""
     out = ["fold-trace", f"graph: {graph_ref}"]
     if component is not None:
         out.append("component: " + " ".join(str(v) for v in component))
-    if target is not None:
-        out.append(f"target: {target}")
+    out.append(f"target: {trace.final.n}")
     for step in trace.steps:
         out.append(f"fold {step.kept} {step.merged}")
     out.append("final:")
@@ -290,8 +289,8 @@ _TRACE_FIELDS = {"graph": str.strip, "component": _ints, "target": int}
 
 def verify_fold_trace_file(text: str, base_dir: str = "."):
     """Parse a fold trace and replay it against its referenced graph;
-    returns (ok, problems)."""
-    fields = {"component": None, "target": None}
+    returns (ok, problems).  The trace must name the cycle it ends on."""
+    fields = {"component": None}
     steps, final_edges = [], []
 
     def entry(line):
@@ -315,6 +314,8 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
     _read_headed(text, "fold-trace", entry)
     if "graph" not in fields:
         raise ParseError("fold trace missing its graph reference")
+    if "target" not in fields:
+        raise ParseError("fold trace missing its target cycle length")
     source = load_graph_document(os.path.join(base_dir, fields["graph"])).graph
     if fields["component"] is not None:
         source, _ = induced_subgraph(source, fields["component"])
@@ -325,9 +326,8 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
     problems = []
     if frozenset((min(u, v), max(u, v)) for u, v in final_edges) != trace.final.edges:
         problems.append("final edge list does not match the replayed graph")
-    target = fields["target"]
-    if target is not None and not _is_cycle_graph(trace.final, target):
-        problems.append(f"final graph is not a {target}-cycle")
+    if not _is_cycle_graph(trace.final, fields["target"]):
+        problems.append(f"final graph is not a {fields['target']}-cycle")
     return not problems, problems
 
 

@@ -20,9 +20,9 @@ import numpy as np
 from . import kernels
 from .circular import CircularParams, require_ratio_open
 from .graphs import (Bipartition, Graph, bfs_forest, bipartition, build_graph,
-                     connected_components, fundamental_cycle_basis, girth_cycle,
+                     connected_components, fundamental_cycle_basis,
                      induced_subgraph, is_connected, longest_basis_cycle,
-                     tree_path)
+                     shortest_cycle, tree_path)
 from .kernels import DEFAULT_STATE_BUDGET
 
 
@@ -208,7 +208,7 @@ def retract_to_shortest_cycle(g: Graph):
     is shortest), then restores the edge.  Returns (cycle vertices tuple,
     RetractionMap).
     """
-    cyc = girth_cycle(g)
+    cyc = shortest_cycle(g)
     if cyc is None:
         raise ValueError("graph is acyclic")
     a, b = cyc.vertices[0], cyc.vertices[-1]
@@ -241,11 +241,12 @@ def folds_to_cycle(g: Graph, length: int,
 
     A connected g folds onto C_L exactly when some homomorphism
     phi: g -> C_L winds a cycle (walks it round C_L a nonzero net number of
-    times).  If phi winds a cycle, fold the least pair of vertices with a
-    common neighbour and one image, and repeat: each fold keeps phi a
+    times).  If some phi: g -> C_M with M >= L and M - L even winds a cycle
+    (``_fold_by_image``), fold the least pair of vertices with a common
+    neighbour and one image, and repeat: each fold keeps phi a
     homomorphism, so at the end every vertex has at most the two neighbours
     imaged phi(v) +- 1.  A path winds nothing, so what is left is a cycle
-    whose every step goes the same way round C_L, C_{jL} with j != 0, and
+    whose every step goes the same way round C_M, C_{jM} with j != 0, and
     pair-folds shrink it to C_L.  Conversely, if g folds onto C_L a winding
     cycle pulls back one fold at a time: a cycle through the merged vertex
     becomes a closed walk plus an x-w-y detour round a common neighbour w,
@@ -261,8 +262,9 @@ def folds_to_cycle(g: Graph, length: int,
     ``kernels.first_unbalanced`` runs the scan; ``budget`` caps its partial
     maps.
 
-    Two answers need no scan.  A bipartite g with girth >= length retracts
-    onto a shortest cycle fold by fold, then pair-folds it down.  And g
+    Two answers need no scan.  A bipartite g with girth M >= L retracts
+    onto a shortest cycle, and the position of each vertex's retraction
+    image on that cycle is a phi: g -> C_M that winds it once.  And g
     cannot fold onto C_L when its minimum cycle basis has only cycles
     shorter than L (``longest_basis_cycle``):
 
@@ -290,7 +292,7 @@ def folds_to_cycle(g: Graph, length: int,
         # never reach odd cycles and non-bipartite graphs never reach even
         return None
     if bip.valid:
-        shortest = girth_cycle(g)
+        shortest = shortest_cycle(g)
         if shortest is not None and len(shortest) >= length:
             return _guided_cycle_trace(g, length)
     if longest_basis_cycle(g) < length:
@@ -299,44 +301,11 @@ def folds_to_cycle(g: Graph, length: int,
 
 
 def _guided_cycle_trace(g: Graph, length: int) -> FoldTrace:
-    """Retraction-driven fold sequence onto a shortest cycle, then pairwise
-    cycle shrinking down to the target length."""
-    cycle_vertices, r = retract_to_shortest_cycle(g)
-    builder = _TraceBuilder(g)
-    image = list(r.assignment)
-    cycle = list(cycle_vertices)
-    while builder.current.n > len(cycle):
-        h = builder.current
-        on_cycle = set(cycle)
-        u = next(v for v in range(h.n)
-                 if v not in on_cycle and any(w in on_cycle for w in h.adjacency[v]))
-        step = builder.fold(u, image[u])
-        image = _remap_assignment(image, step.vertex_map)
-        cycle = [step.vertex_map[c] for c in cycle]
-    return _shrink_cycle(builder, cycle, length)
-
-
-def _remap_assignment(image: list, vmap: tuple) -> list:
-    out = [0] * (max(vmap) + 1)
-    for old, new in enumerate(vmap):
-        out[new] = vmap[image[old]]
-    return out
-
-
-def _shrink_cycle(builder: _TraceBuilder, cycle: list, length: int) -> FoldTrace:
-    """Pair-fold the cycle graph ``builder.current``, whose vertices in
-    order are ``cycle``, down to C_length."""
-    while len(cycle) > length:
-        step = builder.fold(cycle[0], cycle[2])
-        cycle = [step.vertex_map[c] for c in cycle]
-        step = builder.fold(cycle[1], cycle[3])
-        cycle = [step.vertex_map[c] for c in cycle]
-        # Positions 2 and 3 are now duplicates of 0 and 1.
-        cycle = cycle[:2] + cycle[4:]
-    trace = builder.trace()
-    if not _is_cycle_graph(trace.final, length):
-        raise AssertionError("fold did not end at the target cycle")
-    return trace
+    """Fold g by the positions of its retraction images on a shortest cycle,
+    a homomorphism onto C_girth that winds that cycle once."""
+    cycle, r = retract_to_shortest_cycle(g)
+    position = {v: i for i, v in enumerate(cycle)}
+    return _fold_by_image(g, [position[v] for v in r.assignment], length)
 
 
 def _winding_trace(g: Graph, length: int, bip: Bipartition,
@@ -351,17 +320,37 @@ def _winding_trace(g: Graph, length: int, bip: Bipartition,
         domain &= colours[None, :] % 2 == np.array(bip.side)[:, None]
     row, _ = kernels.first_unbalanced(g, (step == 1) | (step == length - 1), domain,
                                       fundamental_cycle_basis(g).fundamental, budget)
-    if row is None:
-        return None
-    image = row.tolist()
+    return None if row is None else _fold_by_image(g, row.tolist(), length)
+
+
+def _fold_by_image(g: Graph, image: list, length: int) -> FoldTrace:
+    """Fold g by ``image``, a homomorphism onto a cycle that winds a cycle of
+    g: fold the least pair of vertices with a common neighbour and one image
+    until none is left, then pair-fold the cycle that is left down to
+    C_length.  ``image`` is consumed."""
     builder = _TraceBuilder(g)
     while True:
         h = builder.current
         pairs = [(x, y) for x in range(h.n) for w in h.adjacency[x]
                  for y in h.adjacency[w] if y > x and image[y] == image[x]]
         if not pairs:
-            return _shrink_cycle(builder, list(girth_cycle(h).vertices), length)
+            break
         del image[builder.fold(*min(pairs)).merged]  # merged shares kept's image
+    # h is a cycle: walk it from vertex 0 towards its smaller neighbour
+    cycle = [0, min(h.adjacency[0])]
+    while len(cycle) < h.n:
+        cycle.append(next(w for w in h.adjacency[cycle[-1]] if w != cycle[-2]))
+    while len(cycle) > length:
+        step = builder.fold(cycle[0], cycle[2])
+        cycle = [step.vertex_map[c] for c in cycle]
+        step = builder.fold(cycle[1], cycle[3])
+        cycle = [step.vertex_map[c] for c in cycle]
+        # Positions 2 and 3 are now duplicates of 0 and 1.
+        cycle = cycle[:2] + cycle[4:]
+    trace = builder.trace()
+    if not _is_cycle_graph(trace.final, length):
+        raise AssertionError("fold did not end at the target cycle")
+    return trace
 
 
 # ---------------------------------------------------------------------------

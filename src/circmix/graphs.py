@@ -238,19 +238,9 @@ def enumerate_cycles(g: Graph, max_len: int) -> Iterator[Cycle]:
         yield from extend()
 
 
-def girth_cycle(g: Graph) -> Optional[Cycle]:
-    """A shortest cycle of g, or None if acyclic.
-
-    Deterministic: BFS from each vertex in ascending order, returning the
-    first cycle of the minimum length found.
-    """
-    best = shortest_cycle(g)
-    return Cycle.from_vertices(best) if best is not None else None
-
-
-def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
-    """Vertex sequence of a shortest cycle (with ``odd``, of a shortest odd
-    cycle), or None when there is none.
+def shortest_cycle(g: Graph, odd: bool = False) -> Optional[Cycle]:
+    """A shortest cycle (with ``odd``, a shortest odd cycle), or None when
+    there is none.
 
     A BFS from each vertex s in ascending order closes a cycle through the
     tree at every non-tree edge u-v; that cycle is odd exactly when u and v
@@ -278,7 +268,7 @@ def shortest_cycle(g: Graph, odd: bool = False) -> Optional[list]:
                         best = vs
         if best is not None and len(best) == 3:
             break
-    return best
+    return Cycle.from_vertices(best) if best is not None else None
 
 
 def minimum_cycle_basis(g: Graph) -> list:

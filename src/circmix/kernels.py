@@ -37,13 +37,6 @@ def compat_table(p: int, q: int) -> np.ndarray:
     return d >= q
 
 
-def adjacency_csr(g) -> tuple:
-    """Graph adjacency as CSR (indptr, indices), both int32."""
-    indptr = np.cumsum([0] + [len(a) for a in g.adjacency], dtype=np.int32)
-    indices = np.array([u for a in g.adjacency for u in a], dtype=np.int32)
-    return indptr, indices
-
-
 def digit_weights(n: int, p: int) -> np.ndarray:
     """Mixed-radix digit weights; vertex 0 most significant."""
     if n * np.log2(max(p, 2)) > 62:
@@ -76,9 +69,7 @@ def state_blocks(g, compat: np.ndarray, domain: np.ndarray,
     if n == 0:
         yield np.zeros((1, 0), dtype=np.int16)
         return
-    indptr, indices = adjacency_csr(g)
-    earlier = [[u for u in indices[indptr[v]:indptr[v + 1]] if u < v]
-               for v in range(n)]
+    earlier = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
     made = [0] * n
 
     def extend(states, v):
@@ -137,11 +128,11 @@ def moves(states, codes, g, p: int, q: int, rows) -> tuple:
 
 def _move_tables(g, p: int, q: int) -> tuple:
     # built once per BFS, not once per frontier chunk
-    return (compat_table(p, q),) + adjacency_csr(g) + (digit_weights(g.n, p),)
+    return compat_table(p, q), g.adjacency, digit_weights(g.n, p)
 
 
 def _moves(states, codes, tables, rows) -> tuple:
-    compat, indptr, indices, powv = tables
+    compat, adjacency, powv = tables
     p = compat.shape[0]
     rows = np.asarray(rows, dtype=np.int64)
     picked = states[rows]
@@ -149,7 +140,7 @@ def _moves(states, codes, tables, rows) -> tuple:
     sources, targets = [empty], [empty]
     for v in range(powv.size):
         ok = np.ones((rows.size, p), dtype=bool)
-        for u in indices[indptr[v]:indptr[v + 1]]:
+        for u in adjacency[v]:
             ok &= compat[picked[:, u]]
         digits = picked[:, v].astype(np.int64)
         ok[np.arange(rows.size), digits] = False

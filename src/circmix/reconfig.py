@@ -428,7 +428,7 @@ def is_mixing_wind(g: Graph, params: CircularParams,
         f0 = next(enumerate_colourings(g, params, budget=budget), None)
         if f0 is None:
             return MixingVerdict(status="vacuous", state_count=0)
-        witness = _make_witness(f0, odd)
+        witness = _make_witness(f0, odd.vertices)
         return MixingVerdict(status="not-mixing", witness=witness)
     if _short_basis(g, params) is not None:
         return MixingVerdict(status="mixing")
@@ -442,8 +442,9 @@ def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
     scanned, by ``kernels.first_unbalanced``, which stops at the first
     unbalanced one: shifting a component's colours keeps every cycle weight
     and moves its least vertex to 0 without changing any earlier position,
-    so the least unbalanced colouring is among them.  ``budget`` caps those
-    pinned states.
+    so the least unbalanced colouring is among them.  One side at 0 and the
+    other at q is always a pinned colouring, so the scan never finds none.
+    ``budget`` caps those pinned states.
     """
     roots = [c[0] for c in connected_components(g)]
     cycles = fundamental_cycle_basis(g).fundamental
@@ -456,8 +457,6 @@ def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
         shortest = min((cycles[j] for j in found), key=lambda c: (len(c), c.vertices))
         return MixingVerdict(status="not-mixing",
                              witness=_make_witness(f, shortest.vertices))
-    if found == 0:
-        return MixingVerdict(status="vacuous", state_count=0)
     return MixingVerdict(status="mixing", state_count=found * params.p ** len(roots))
 
 
@@ -499,7 +498,8 @@ def verify_witness(w: NonMixingWitness):
     """Re-validate a witness from scratch; returns (ok, failed check names).
 
     Checks: colouring properness, cycle membership in the host, the weight
-    arithmetic, the required value, and wrappedness.
+    arithmetic, the required value, wrappedness, and 2 < p/q < 4 (outside
+    it a wrapped cycle does not show that the graph fails to mix).
     """
     failures = []
     f = w.colouring
@@ -516,4 +516,6 @@ def verify_witness(w: NonMixingWitness):
             failures.append("required-mismatch")
         if not failures and not report.wrapped:
             failures.append("not-wrapped")
+    if not 2 * f.params.q < f.params.p < 4 * f.params.q:
+        failures.append("ratio-outside-(2,4)")
     return not failures, failures

@@ -6,11 +6,12 @@ import pytest
 
 import support
 from circmix import files
-from circmix.circular import CircularParams
+from circmix.circular import CircularParams, cycle_wind, enumerate_colourings
 from circmix.cli import main
-from circmix.generators import pinched_octagon
-from circmix.graphs import build_graph
+from circmix.generators import cube_graph, pinched_octagon
+from circmix.graphs import Cycle, build_graph
 from circmix.kernels import BudgetExceededError, enumerate_states
+from circmix.reconfig import NonMixingWitness, is_mixing_oracle
 
 
 def run(capsys, *argv):
@@ -262,6 +263,67 @@ class TestVerify:
         open(cert, "w").write(text)
         code, out, _ = run(capsys, "verify", cert)
         assert code == 1 and "FAIL" in out
+
+    @pytest.mark.parametrize("p, q", [(10, 2), (8, 2)])
+    def test_witness_outside_the_wind_ratios_fails(self, tmp_path, capsys, p, q):
+        # C6 mixes at p/q >= 4, though some colouring wraps its cycle there
+        c6 = support.cycle(6)
+        write_graph(tmp_path, c6, "c6.txt")
+        params = CircularParams(p, q)
+        assert is_mixing_oracle(c6, params).status == "mixing"
+        cycle = Cycle(tuple(range(6)))
+        f = next(f for f in enumerate_colourings(c6, params)
+                 if cycle_wind(f, cycle).wrapped)
+        report = cycle_wind(f, cycle)
+        witness = NonMixingWitness(colouring=f, cycle=report.cycle,
+                                   weight=report.weight, required=report.required)
+        cert = tmp_path / "c6.wit"
+        cert.write_text(files.serialize_witness(witness, graph_ref="c6.txt"))
+        assert run(capsys, "verify", str(cert)) == (1, "FAIL: ratio-outside-(2,4)\n", "")
+
+    def test_trace_without_target_is_refused(self, tmp_path, capsys):
+        # the cube mixes at (3,1): a trace naming no target cycle shows nothing
+        cube = cube_graph().graph
+        write_graph(tmp_path, cube, "cube.txt")
+        trace = tmp_path / "cube.trace"
+        trace.write_text("fold-trace\ngraph: cube.txt\nfinal:\n" + "".join(
+            f"{u} {v}\n" for u, v in sorted(cube.edges)) + "end\n")
+        assert run(capsys, "verify", str(trace)) == (
+            4, "", "error: fold trace missing its target cycle length\n")
+
+    @pytest.mark.parametrize("old, new, failure", [
+        ("0 5\n", "0 4\n", "final edge list does not match the replayed graph"),
+        ("target: 6", "target: 8", "final graph is not a 8-cycle")])
+    def test_edited_trace_fails(self, tmp_path, capsys, old, new, failure):
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        cert = tmp_path / "t.trace"
+        run(capsys, "fold-search", c10, "-L", "6", "--out", str(cert))
+        text = cert.read_text()
+        assert text.count(old) == 1
+        cert.write_text(text.replace(old, new))
+        assert run(capsys, "verify", str(cert)) == (1, f"FAIL: {failure}\n", "")
+
+    def test_certificates_written_beside_another_directory(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # each certificate names its graph relative to its own directory
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "cycle", "10", "--out", "c10.txt")
+        run(capsys, "gen", "cube", "--out", "cube.txt")
+        os.mkdir("out")
+        assert run(capsys, "mix", "c10.txt", "-p", "5", "-q", "2", "--method", "wind",
+                   "--certificate", "out/c10.wit")[0] == 1
+        assert run(capsys, "mix", "cube.txt", "-p", "7", "-q", "2", "--method", "wind",
+                   "--certificate", "out/cube.mb")[0] == 0
+        assert run(capsys, "mix", "c10.txt", "-p", "3", "-q", "1", "--method", "fold",
+                   "--certificate", "out/c10.trace")[0] == 1
+        assert run(capsys, "fold-search", "c10.txt", "-L", "6",
+                   "--out", "out/x.trace")[0] == 0
+        for cert, graph in (("out/c10.wit", "c10"), ("out/cube.mb", "cube"),
+                            ("out/c10.trace", "c10"), ("out/x.trace", "c10")):
+            assert f"graph: ../{graph}.txt\n" in open(cert).read()
+            assert run(capsys, "verify", cert) == (0, "PASS\n", "")
+        # a trace sent to stdout keeps the path as given
+        assert "graph: c10.txt\n" in run(capsys, "fold-search", "c10.txt", "-L", "6")[1]
 
     def test_garbage_rejected(self, tmp_path, capsys):
         bad = tmp_path / "junk.txt"

@@ -65,7 +65,7 @@ def certificates(tmp_path_factory):
     (base / "h.txt").write_text(files.serialize_graph_document(files.GraphDocument(h)))
     basis = mixing_basis(h, CircularParams(7, 2))
     return (str(base), files.serialize_witness(witness, "g.txt"),
-            files.serialize_fold_trace(trace, "g.txt", target=6),
+            files.serialize_fold_trace(trace, "g.txt"),
             files.serialize_mixing_basis(basis, "h.txt"))
 
 

@@ -11,7 +11,8 @@ from circmix.fold import (circular_mixing_threshold, elementary_fold,
                           retract_to_path, retract_to_shortest_cycle,
                           _is_cycle_graph, _winding_trace)
 from circmix.generators import pinched_octagon
-from circmix.graphs import bipartition, build_graph, distance, is_connected
+from circmix.graphs import (bipartition, build_graph, distance, is_connected,
+                            shortest_cycle)
 from circmix.kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 from circmix.reconfig import is_mixing_oracle, is_mixing_wind
 
@@ -301,9 +302,7 @@ class TestRetractions:
 
     def test_cycle_retraction_on_random_bipartite(self):
         for g in support.connected_bipartite_upto_iso(6):
-            from circmix.graphs import girth_cycle
-
-            if girth_cycle(g) is None:
+            if shortest_cycle(g) is None:
                 continue
             cycle_vertices, r = retract_to_shortest_cycle(g)
             # already validated internally; double-check idempotence here

@@ -10,7 +10,7 @@ import support
 from circmix.graphs import (Bipartition, Cycle, bipartition, blocks, build_graph,
                             connected_components, cycle_rank,
                             cycle_space_dimension, distance, edge_set_cycle,
-                            enumerate_cycles, fundamental_cycle_basis, girth_cycle,
+                            enumerate_cycles, fundamental_cycle_basis,
                             induced_subgraph, is_cycle_of, longest_basis_cycle,
                             minimum_cycle_basis, shortest_cycle)
 from circmix.kernels import BudgetExceededError
@@ -221,8 +221,8 @@ class TestDistance:
 class TestCycleHelpers:
     def test_girth(self):
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 0)])
-        assert len(girth_cycle(g)) == 4
-        assert girth_cycle(support.path(4)) is None
+        assert len(shortest_cycle(g)) == 4
+        assert shortest_cycle(support.path(4)) is None
 
     def test_longest_cycle(self):
         # two squares sharing the edge 0-3: the outer 6-cycle is the sum of
@@ -243,7 +243,7 @@ class TestCycleHelpers:
                                 if rng.random() < density])
             lengths = [len(c) for c in support.brute_cycle_sets(g, n)]
             odd_lengths = [k for k in lengths if k % 2]
-            girth = girth_cycle(g)
+            girth = shortest_cycle(g)
             if lengths:
                 assert len(girth) == min(lengths)
                 assert is_cycle_of(g, girth.vertices)
@@ -252,7 +252,7 @@ class TestCycleHelpers:
             odd = shortest_cycle(g, odd=True)
             if odd_lengths:
                 assert len(odd) == min(odd_lengths)
-                assert is_cycle_of(g, tuple(odd))
+                assert is_cycle_of(g, odd.vertices)
             else:
                 assert odd is None
             assert longest_basis_cycle(g) == support.brute_longest_basis_cycle(g)
