@@ -116,11 +116,8 @@ def cmd_mix(args) -> int:
     else:
         raise ValueError(f"unknown method {args.method!r}")
 
-    print(verdict.status.upper())
-    if explanation is not None:
-        print(explanation.render())
-        if args.explain:
-            _write(args.explain, json.dumps(explanation.to_dict(), indent=2) + "\n")
+    # Every output is built before any is written, so a certificate or DOT
+    # export that exits 3 or 4 leaves no verdict behind on stdout.
     text = None
     graph_ref = _graph_ref(args.graph, args.certificate)
     if verdict.status == "not-mixing" and args.certificate:
@@ -136,11 +133,18 @@ def cmd_mix(args) -> int:
         basis = reconfig.mixing_basis(g, params)  # None when the scan decided
         if basis is not None:
             text = files.serialize_mixing_basis(basis, graph_ref=graph_ref)
+    dot = files.col_graph_to_dot(g, params) if args.dot else None
+
+    print(verdict.status.upper())
+    if explanation is not None:
+        print(explanation.render())
+        if args.explain:
+            _write(args.explain, json.dumps(explanation.to_dict(), indent=2) + "\n")
     if text is not None:
         _write(args.certificate, text)
         print(f"certificate: {args.certificate}")
-    if args.dot:
-        _write(args.dot, files.col_graph_to_dot(g, params))
+    if dot is not None:
+        _write(args.dot, dot)
     return _verdict_exit(verdict.status)
 
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import kernels
 from .circular import CircularParams, Colouring
 from .fold import FoldTrace, _is_cycle_graph, replay_trace
 from .graphs import Cycle, Graph, build_graph, induced_subgraph
+from .kernels import np
 from .planar import RotationSystem
 from .reconfig import (MixingBasis, NonMixingWitness, verify_mixing_basis,
                        verify_witness)

@@ -15,15 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import kernels
 from .circular import CircularParams, require_ratio_open
 from .graphs import (Bipartition, Graph, bfs_forest, bipartition, build_graph,
                      connected_components, fundamental_cycle_basis,
                      induced_subgraph, is_connected, longest_basis_cycle,
                      shortest_cycle, tree_path)
-from .kernels import DEFAULT_STATE_BUDGET
+from .kernels import DEFAULT_STATE_BUDGET, np
 
 
 @dataclass(frozen=True)
@@ -183,6 +181,11 @@ def retract_to_path(g: Graph, x: int, y: int) -> RetractionMap:
         raise ValueError("path retraction requires a bipartite graph")
     if not is_connected(g):
         raise ValueError("path retraction requires a connected graph")
+    return _path_retraction(g, x, y)
+
+
+def _path_retraction(g: Graph, x: int, y: int) -> RetractionMap:
+    """``retract_to_path`` on a graph known to be connected and bipartite."""
     parent, depth, _ = bfs_forest(g.adjacency, (x,))
     path = tree_path(parent, y)[::-1]
     k = len(path) - 1
@@ -211,9 +214,15 @@ def retract_to_shortest_cycle(g: Graph):
     cyc = shortest_cycle(g)
     if cyc is None:
         raise ValueError("graph is acyclic")
+    return _retract_to_cycle(g, cyc, retract_to_path)
+
+
+def _retract_to_cycle(g: Graph, cyc, to_path):
+    """``retract_to_shortest_cycle`` onto the shortest cycle ``cyc``, with
+    ``to_path`` retracting g less one cycle edge onto the rest of it."""
     a, b = cyc.vertices[0], cyc.vertices[-1]
     reduced = build_graph(g.n, [e for e in g.edges if e != (min(a, b), max(a, b))])
-    r = retract_to_path(reduced, a, b)
+    r = to_path(reduced, a, b)
     # The BFS path closed by the dropped edge is itself a shortest cycle
     # (anything shorter would beat the girth), so retract onto that one.
     cycle_vertices = tuple(r.image)
@@ -294,16 +303,17 @@ def folds_to_cycle(g: Graph, length: int,
     if bip.valid:
         shortest = shortest_cycle(g)
         if shortest is not None and len(shortest) >= length:
-            return _guided_cycle_trace(g, length)
+            return _guided_cycle_trace(g, length, shortest)
     if longest_basis_cycle(g) < length:
         return None
     return _winding_trace(g, length, bip, budget)
 
 
-def _guided_cycle_trace(g: Graph, length: int) -> FoldTrace:
-    """Fold g by the positions of its retraction images on a shortest cycle,
-    a homomorphism onto C_girth that winds that cycle once."""
-    cycle, r = retract_to_shortest_cycle(g)
+def _guided_cycle_trace(g: Graph, length: int, shortest) -> FoldTrace:
+    """Fold the connected bipartite g by the positions of its retraction
+    images on its shortest cycle ``shortest``, a homomorphism onto C_girth
+    that winds that cycle once."""
+    cycle, r = _retract_to_cycle(g, shortest, _path_retraction)
     position = {v: i for i, v in enumerate(cycle)}
     return _fold_by_image(g, [position[v] for v in r.assignment], length)
 
@@ -371,8 +381,9 @@ def odd_mixing_by_fold(g: Graph, k: int,
     if not bipartition(g).valid:
         raise ValueError("the odd-cycle fold criterion applies to bipartite graphs")
     target = 4 * k + 2
-    for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
+    comps = connected_components(g)
+    for comp in comps:
+        sub = g if len(comps) == 1 else induced_subgraph(g, comp)[0]
         trace = folds_to_cycle(sub, target, budget=budget)
         if trace is not None:
             return False, (tuple(comp), trace)

@@ -10,7 +10,9 @@ answers both the wind scan (colourings) and the fold construction
 (homomorphisms to a cycle).  The wind scan pins the least vertex of each
 component to colour 0: shifting a component's colours keeps every cycle
 weight and changes no earlier vertex, so the least unbalanced colouring is
-pinned.  The kernels are plain numpy.
+pinned.  The kernels are plain numpy, and this is the one module that
+imports it: lazily, on a kernel's first use of ``np``, so commands that
+enumerate nothing never load it.
 BFS parent trees are deterministic (a state's parent is its lowest-index
 discoverer in the previous level), and the tests hold them to a pure-Python
 reference.
@@ -20,7 +22,24 @@ reference.
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+
+
+def _lazy_numpy():
+    """numpy, executed on its first attribute access (the ``LazyLoader``
+    recipe of the ``importlib`` docs); the loaded module if already imported."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 DEFAULT_STATE_BUDGET = 10_000_000
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-import numpy as np
-
 from . import kernels
 from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        enumerate_colourings, minimal_non_mixing_even_cycle,
@@ -32,7 +30,7 @@ from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components
                      cycle_rank, cycle_space_dimension, edge_set_cycle,
                      fundamental_cycle_basis, is_cycle_of, minimum_cycle_basis,
                      shortest_cycle, tree_path)
-from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
+from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError, np
 
 __all__ = [
     "MixingVerdict", "NonMixingWitness", "MixingBasis", "FixedSetReport",

@@ -1,10 +1,13 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import support
+import circmix
 from circmix import files
 from circmix.circular import CircularParams, cycle_wind, enumerate_colourings
 from circmix.cli import main
@@ -196,9 +199,44 @@ class TestMix:
         dot = tmp_path / "col.dot"
         code, out, err = run(capsys, "mix", p7, "-p", "7", "-q", "2",
                              "--dot", str(dot))
-        assert (code, out) == (3, "MIXING\n")
+        assert (code, out) == (3, "")  # every output is built before any is written
         assert err == "budget exceeded: more than 20000 proper states\n"
         assert not dot.exists()
+
+    def test_oracle_certificate_outside_the_wind_ratios_prints_nothing(
+            self, tmp_path, capsys):
+        # the oracle decides p/q = 2, but its witness comes from the wind
+        # scan, which refuses that ratio: exit 4 before the verdict is printed
+        c4 = write_graph(tmp_path, support.cycle(4), "c4.txt")
+        cert = tmp_path / "c4.wit"
+        code, out, err = run(capsys, "mix", c4, "-p", "4", "-q", "2",
+                             "--method", "oracle", "--certificate", str(cert))
+        assert (code, out) == (4, "") and "strictly between 2 and 4" in err
+        assert not cert.exists()
+
+    def test_planar_certificate_past_the_budget_prints_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # a 6x6 grid less the edge 14-15 decides NOT-MIXING at once, but its
+        # witness comes from a wind scan past the budget: exit 3, no verdict
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "grid", "6", "6", "--out", "grid.txt")
+        lines = []
+        for line in (tmp_path / "grid.txt").read_text().splitlines():
+            if line.startswith(("rotation 14:", "rotation 15:")):
+                head, entries = line.split(":")
+                other = "15" if head.endswith("14") else "14"
+                line = head + ": " + " ".join(w for w in entries.split() if w != other)
+            if line != "edge 14 15":
+                lines.append(line)
+        (tmp_path / "cut.txt").write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "mix", "cut.txt", "-p", "7", "-q", "2",
+                           "--method", "planar")
+        assert code == 1 and out.startswith("NOT-MIXING\n") and "faces" in out
+        code, out, err = run(capsys, "mix", "cut.txt", "-p", "7", "-q", "2",
+                             "--method", "planar", "--certificate", "cut.wit",
+                             "--budget", "100000")
+        assert (code, out) == (3, "") and "more than 100000" in err
+        assert not (tmp_path / "cut.wit").exists()
 
 
 class TestReach:
@@ -447,6 +485,58 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["mix"])  # missing required arguments
         assert exc.value.code == 4
+
+
+class TestStartUp:
+    """Commands that enumerate nothing never load numpy.  Run in a fresh
+    interpreter, since this one has numpy loaded already."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from circmix.cli import main
+
+def numpy_loaded():
+    return any(name.startswith("numpy.") for name in sys.modules)
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+    if numpy_loaded():
+        sys.exit(f"numpy loaded by {argv}")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(json.loads(sys.argv[2])))
+print(json.dumps([codes, numpy_loaded()]))
+"""
+
+    def test_only_kernels_load_numpy(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for kind, *args in (["cycle", "10"], ["cube"], ["figure1"]):
+            run(capsys, "gen", kind, *args, "--out", f"{kind}.txt")
+        scan = ["mix", "cycle.txt", "-p", "5", "-q", "2", "--method", "wind"]
+        assert run(capsys, *scan, "--certificate", "c10.wit")[0] == 1
+        free = [
+            ["verify", "c10.wit"],
+            ["mix", "cycle.txt", "-p", "3", "-q", "1", "--method", "fold",
+             "--certificate", "c10.trace"],
+            ["verify", "c10.trace"],
+            ["mix", "figure1.txt", "-p", "7", "-q", "2", "--method", "planar"],
+            ["threshold", "cycle.txt"],
+            ["fold-search", "cycle.txt", "-L", "6"],
+            ["min-cycle", "-p", "5", "-q", "2"],
+            ["mix", "cube.txt", "-p", "7", "-q", "2", "--method", "wind",
+             "--certificate", "cube.basis"],
+            ["verify", "cube.basis"],
+        ]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(circmix.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(free),
+             json.dumps(scan + ["--certificate", "scan.wit"])],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 1, 0, 1, 0, 0, 0, 0, 0, 1], True]
+        assert (tmp_path / "scan.wit").read_text() == (tmp_path / "c10.wit").read_text()
 
 
 class TestDocumentRoundTrips:

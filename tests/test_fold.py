@@ -4,6 +4,7 @@ import random
 import pytest
 
 import support
+from circmix import fold
 from circmix.circular import CircularParams
 from circmix.fold import (circular_mixing_threshold, elementary_fold,
                           folds_to_cycle, is_homomorphism_onto,
@@ -165,6 +166,18 @@ class TestFoldsToCycle:
         slow = _winding_trace(g, 6, bipartition(g), DEFAULT_STATE_BUDGET)
         assert fast is not None and slow is not None
         assert _is_cycle_graph(fast.final, 6) and _is_cycle_graph(slow.final, 6)
+
+    def test_girth_path_searches_for_the_girth_once(self, monkeypatch):
+        # the retraction reuses the shortest cycle the girth test found
+        calls = []
+
+        def counted(g, **kwargs):
+            calls.append(g)
+            return shortest_cycle(g, **kwargs)
+
+        monkeypatch.setattr(fold, "shortest_cycle", counted)
+        trace = folds_to_cycle(support.cycle(14), 6)
+        assert _is_cycle_graph(trace.final, 6) and len(calls) == 1
 
 
 class TestWindingConstruction:
