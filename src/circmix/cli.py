@@ -41,12 +41,15 @@ def _params(args) -> CircularParams:
     return CircularParams(args.p, args.q)
 
 
-def _write(path, text):
-    if path == "-" or path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(outputs):
+    """Write each ``(path, text)`` of ``outputs``: the files first, then the
+    texts whose path is "-" or None to stdout in order, so a file that
+    cannot be written (exit 4) leaves stdout empty."""
+    for path, text in outputs:
+        if path not in ("-", None):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    sys.stdout.write("".join(text for path, text in outputs if path in ("-", None)))
 
 
 def _graph_ref(graph: str, path) -> str:
@@ -77,9 +80,10 @@ def cmd_gen(args) -> int:
         raise ValueError(f"generator {args.kind} takes {arity} argument(s)")
     gg = factory(*(int(a) for a in args.args))
     doc = files.GraphDocument(graph=gg.graph, rotation=gg.rotation)
-    _write(args.out, files.serialize_graph_document(doc, header=gg.name))
+    outputs = [(args.out, files.serialize_graph_document(doc, header=gg.name))]
     if args.dot:
-        _write(args.dot, files.graph_to_dot(gg.graph))
+        outputs.append((args.dot, files.graph_to_dot(gg.graph)))
+    _emit(outputs)
     return EXIT_YES
 
 
@@ -116,8 +120,9 @@ def cmd_mix(args) -> int:
     else:
         raise ValueError(f"unknown method {args.method!r}")
 
-    # Every output is built before any is written, so a certificate or DOT
-    # export that exits 3 or 4 leaves no verdict behind on stdout.
+    # Every output is built before any is written and every file is written
+    # before stdout, so a certificate or DOT export that exits 3 or 4 leaves
+    # no verdict behind on stdout.
     text = None
     graph_ref = _graph_ref(args.graph, args.certificate)
     if verdict.status == "not-mixing" and args.certificate:
@@ -135,16 +140,16 @@ def cmd_mix(args) -> int:
             text = files.serialize_mixing_basis(basis, graph_ref=graph_ref)
     dot = files.col_graph_to_dot(g, params) if args.dot else None
 
-    print(verdict.status.upper())
+    outputs = [(None, verdict.status.upper() + "\n")]
     if explanation is not None:
-        print(explanation.render())
+        outputs.append((None, explanation.render() + "\n"))
         if args.explain:
-            _write(args.explain, json.dumps(explanation.to_dict(), indent=2) + "\n")
+            outputs.append((args.explain, json.dumps(explanation.to_dict(), indent=2) + "\n"))
     if text is not None:
-        _write(args.certificate, text)
-        print(f"certificate: {args.certificate}")
+        outputs += [(args.certificate, text), (None, f"certificate: {args.certificate}\n")]
     if dot is not None:
-        _write(args.dot, dot)
+        outputs.append((args.dot, dot))
+    _emit(outputs)
     return _verdict_exit(verdict.status)
 
 
@@ -183,9 +188,9 @@ def cmd_fold_search(args) -> int:
     if trace is None:
         print("NONE")
         return EXIT_NO
-    print(f"folds to C_{args.length} in {len(trace.steps)} step(s)")
-    _write(args.out, files.serialize_fold_trace(
-        trace, graph_ref=_graph_ref(args.graph, args.out)))
+    _emit([(None, f"folds to C_{args.length} in {len(trace.steps)} step(s)\n"),
+           (args.out, files.serialize_fold_trace(
+               trace, graph_ref=_graph_ref(args.graph, args.out)))])
     return EXIT_YES
 
 

@@ -12,6 +12,7 @@ so fold sequences are built from such a homomorphism, not searched for.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +21,7 @@ from .circular import CircularParams, require_ratio_open
 from .graphs import (Bipartition, Graph, bfs_forest, bipartition, build_graph,
                      connected_components, fundamental_cycle_basis,
                      induced_subgraph, is_connected, longest_basis_cycle,
-                     shortest_cycle, tree_path)
+                     minimum_cycle_basis, shortest_cycle, tree_path)
 from .kernels import DEFAULT_STATE_BUDGET, np
 
 
@@ -51,43 +52,67 @@ def elementary_fold(g: Graph, x: int, y: int):
     Returns (folded graph, FoldStep).  The removed label max(x, y) is spliced
     out, so the result stays densely labelled.
     """
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"fold endpoints ({x},{y}) out of range")
-    if x == y or g.has_edge(x, y) or \
-            not set(g.adjacency[x]).intersection(g.adjacency[y]):
-        raise ValueError(f"vertices {x} and {y} are not at distance 2")
-    kept, removed = min(x, y), max(x, y)
-    vmap = []
-    for v in range(g.n):
-        if v == removed:
-            vmap.append(kept)
-        elif v > removed:
-            vmap.append(v - 1)
-        else:
-            vmap.append(v)
-    edges = {(min(vmap[u], vmap[v]), max(vmap[u], vmap[v])) for (u, v) in g.edges}
-    folded = build_graph(g.n - 1, edges)
-    return folded, FoldStep(kept=kept, merged=removed, vertex_map=tuple(vmap))
+    builder = _TraceBuilder(g)
+    step = builder.fold(x, y)
+    return builder.trace().final, step
 
 
 class _TraceBuilder:
-    """Accumulates elementary folds and the composite relabelling."""
+    """Accumulates elementary folds, merging in place.
+
+    Each vertex of the current graph is a class of source vertices named by
+    its least member, its representative: ``reps`` lists the representatives
+    in order and ``adj[r]`` holds r's neighbour representatives.  A fold's
+    dense relabelling keeps order, so a vertex's current label is its
+    representative's rank in ``reps``, and ``trace`` builds the final graph
+    once.
+    """
 
     def __init__(self, source: Graph):
         self.source = source
-        self.current = source
         self.steps = []
-        self.vertex_map = list(range(source.n))
+        self.reps = list(range(source.n))
+        self.adj = [set(a) for a in source.adjacency]
+        self.into = list(range(source.n))  # vertex -> representative it merged into
+
+    def label(self, rep: int) -> int:
+        return bisect_left(self.reps, rep)
 
     def fold(self, x: int, y: int) -> FoldStep:
-        self.current, step = elementary_fold(self.current, x, y)
+        """Identify the current vertices x and y (at distance exactly 2)."""
+        reps, adj = self.reps, self.adj
+        n = len(reps)
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"fold endpoints ({x},{y}) out of range")
+        kept, removed = min(x, y), max(x, y)
+        a, b = reps[kept], reps[removed]
+        if x == y or b in adj[a] or adj[a].isdisjoint(adj[b]):
+            raise ValueError(f"vertices {x} and {y} are not at distance 2")
+        for w in adj[b]:
+            adj[w].discard(b)
+            adj[w].add(a)
+        adj[a] |= adj[b]
+        adj[b] = None
+        self.into[b] = a
+        del reps[removed]
+        step = FoldStep(kept=kept, merged=removed,
+                        vertex_map=(*range(removed), kept, *range(removed, n - 1)))
         self.steps.append(step)
-        self.vertex_map = [step.vertex_map[v] for v in self.vertex_map]
         return step
 
     def trace(self) -> FoldTrace:
-        return FoldTrace(source=self.source, steps=tuple(self.steps),
-                         final=self.current, vertex_map=tuple(self.vertex_map))
+        source = self.source
+        if not self.steps:
+            return FoldTrace(source=source, steps=(), final=source,
+                             vertex_map=tuple(range(source.n)))
+        rank = {r: i for i, r in enumerate(self.reps)}
+        final_of = []  # a class merges into a lesser one, already placed
+        for v, w in enumerate(self.into):
+            final_of.append(rank[v] if w == v else final_of[w])
+        edges = {(rank[a], rank[b]) for a in self.reps for b in self.adj[a] if a < b}
+        return FoldTrace(source=source, steps=tuple(self.steps),
+                         final=build_graph(len(self.reps), edges),
+                         vertex_map=tuple(final_of))
 
 
 def replay_trace(source: Graph, steps) -> FoldTrace:
@@ -128,21 +153,13 @@ def reduce_dominated(g: Graph, params: CircularParams):
     """
     require_ratio_open(params)
     builder = _TraceBuilder(g)
+    reps, adj = builder.reps, builder.adj
     while True:
-        h = builder.current
-        pair = None
-        for u in range(h.n):
-            nu = set(h.adjacency[u])
-            if not nu:
-                continue
-            for v in range(h.n):
-                if v != u and nu <= set(h.adjacency[v]):
-                    pair = (u, v)
-                    break
-            if pair:
-                break
+        pair = next(((u, v) for u, a in enumerate(reps) if adj[a]
+                     for v, b in enumerate(reps) if v != u and adj[a] <= adj[b]), None)
         if pair is None:
-            return builder.current, builder.trace()
+            trace = builder.trace()
+            return trace.final, trace
         builder.fold(*pair)
 
 
@@ -291,11 +308,20 @@ def folds_to_cycle(g: Graph, length: int,
         raise ValueError("cycle targets need length >= 3")
     if not is_connected(g):
         raise ValueError("fold search expects a connected graph")
-    if _is_cycle_graph(g, length):
-        return _TraceBuilder(g).trace()
+    return _fold_trace(g, length, bipartition(g), budget)
+
+
+def _fold_trace(g: Graph, length: int, bip: Bipartition,
+                budget: int) -> Optional[FoldTrace]:
+    """``folds_to_cycle`` on a connected g with bipartition ``bip``.
+
+    ``shortest_cycle`` runs the girth test because the girth path folds by
+    its canonical cycle; the minimum cycle basis is built only when the
+    girth is below L."""
+    if g.n == g.m == length and all(len(a) == 2 for a in g.adjacency):
+        return _TraceBuilder(g).trace()  # connected and 2-regular: g is C_L
     if g.n <= length:
         return None
-    bip = bipartition(g)
     if bip.valid != (length % 2 == 0):
         # homomorphisms preserve closed-walk parity, so bipartite graphs
         # never reach odd cycles and non-bipartite graphs never reach even
@@ -306,7 +332,8 @@ def folds_to_cycle(g: Graph, length: int,
             return _guided_cycle_trace(g, length, shortest)
     if longest_basis_cycle(g) < length:
         return None
-    return _winding_trace(g, length, bip, budget)
+    image = _winding_image(g, length, bip, budget)
+    return None if image is None else _fold_by_image(g, image, length)
 
 
 def _guided_cycle_trace(g: Graph, length: int, shortest) -> FoldTrace:
@@ -318,10 +345,10 @@ def _guided_cycle_trace(g: Graph, length: int, shortest) -> FoldTrace:
     return _fold_by_image(g, [position[v] for v in r.assignment], length)
 
 
-def _winding_trace(g: Graph, length: int, bip: Bipartition,
-                   budget: int) -> Optional[FoldTrace]:
-    """Fold g by the least homomorphism onto C_length, vertex 0 at image 0,
-    that winds a fundamental cycle; None when none winds."""
+def _winding_image(g: Graph, length: int, bip: Bipartition,
+                   budget: int) -> Optional[list]:
+    """The least homomorphism onto C_length, vertex 0 at image 0, that winds
+    a fundamental cycle, as a list over the vertices; None when none winds."""
     colours = np.arange(length)
     step = (colours[:, None] - colours[None, :]) % length
     domain = np.ones((g.n, length), dtype=bool)
@@ -330,33 +357,37 @@ def _winding_trace(g: Graph, length: int, bip: Bipartition,
         domain &= colours[None, :] % 2 == np.array(bip.side)[:, None]
     row, _ = kernels.first_unbalanced(g, (step == 1) | (step == length - 1), domain,
                                       fundamental_cycle_basis(g).fundamental, budget)
-    return None if row is None else _fold_by_image(g, row.tolist(), length)
+    return None if row is None else row.tolist()
 
 
 def _fold_by_image(g: Graph, image: list, length: int) -> FoldTrace:
-    """Fold g by ``image``, a homomorphism onto a cycle that winds a cycle of
-    g: fold the least pair of vertices with a common neighbour and one image
-    until none is left, then pair-fold the cycle that is left down to
-    C_length.  ``image`` is consumed."""
+    """Fold g by ``image`` (vertex -> position), a homomorphism onto a cycle
+    that winds a cycle of g: fold the least pair of vertices with a common
+    neighbour and one image until none is left, then pair-fold the cycle
+    that is left down to C_length.
+
+    The loop works on the builder's representatives, whose order is the
+    order of the current labels, and a class keeps its representative's
+    image."""
     builder = _TraceBuilder(g)
+    reps, adj = builder.reps, builder.adj
     while True:
-        h = builder.current
-        pairs = [(x, y) for x in range(h.n) for w in h.adjacency[x]
-                 for y in h.adjacency[w] if y > x and image[y] == image[x]]
-        if not pairs:
+        pair = min(((x, y) for x in reps for w in adj[x] for y in adj[w]
+                    if y > x and image[y] == image[x]), default=None)
+        if pair is None:
             break
-        del image[builder.fold(*min(pairs)).merged]  # merged shares kept's image
-    # h is a cycle: walk it from vertex 0 towards its smaller neighbour
-    cycle = [0, min(h.adjacency[0])]
-    while len(cycle) < h.n:
-        cycle.append(next(w for w in h.adjacency[cycle[-1]] if w != cycle[-2]))
+        builder.fold(builder.label(pair[0]), builder.label(pair[1]))
+    # a cycle is left: walk it from its least vertex towards the smaller
+    # neighbour
+    cycle = [reps[0], min(adj[reps[0]])]
+    while len(cycle) < len(reps):
+        cycle.append(next(w for w in adj[cycle[-1]] if w != cycle[-2]))
     while len(cycle) > length:
-        step = builder.fold(cycle[0], cycle[2])
-        cycle = [step.vertex_map[c] for c in cycle]
-        step = builder.fold(cycle[1], cycle[3])
-        cycle = [step.vertex_map[c] for c in cycle]
-        # Positions 2 and 3 are now duplicates of 0 and 1.
-        cycle = cycle[:2] + cycle[4:]
+        # fold positions 2 and 3 onto 0 and 1; each pair keeps its least
+        a, b, c, d = cycle[:4]
+        builder.fold(builder.label(a), builder.label(c))
+        builder.fold(builder.label(b), builder.label(d))
+        cycle = [min(a, c), min(b, d)] + cycle[4:]
     trace = builder.trace()
     if not _is_cycle_graph(trace.final, length):
         raise AssertionError("fold did not end at the target cycle")
@@ -378,13 +409,19 @@ def odd_mixing_by_fold(g: Graph, k: int,
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not bipartition(g).valid:
+    bip = bipartition(g)
+    if not bip.valid:
         raise ValueError("the odd-cycle fold criterion applies to bipartite graphs")
     target = 4 * k + 2
     comps = connected_components(g)
     for comp in comps:
-        sub = g if len(comps) == 1 else induced_subgraph(g, comp)[0]
-        trace = folds_to_cycle(sub, target, budget=budget)
+        if len(comps) == 1:
+            sub, sub_bip = g, bip
+        else:
+            # each component's BFS starts at its least vertex, in g as in sub
+            sub = induced_subgraph(g, comp)[0]
+            sub_bip = Bipartition(valid=True, side=tuple(bip.side[v] for v in comp))
+        trace = _fold_trace(sub, target, sub_bip, budget)
         if trace is not None:
             return False, (tuple(comp), trace)
     return True, None
@@ -404,17 +441,26 @@ def circular_mixing_threshold(g: Graph,
     At (2k+1, k) every cycle shorter than 4k+2 is balanced and imbalance is
     linear over the cycle space, so once 4k+2 exceeds the longest cycle of
     a minimum cycle basis g mixes and the scan stops without a fold search.
+    Below that each k is settled by whether a fold exists, never by building
+    one: g folds onto C_{4k+2} when 4k+2 is at most its girth (the first
+    cycle of the same basis), and otherwise exactly when some homomorphism
+    onto C_{4k+2} winds a cycle.
     """
-    if not bipartition(g).valid:
+    bip = bipartition(g)
+    if not bip.valid:
         raise ValueError("threshold defined here for bipartite graphs only")
     if not is_connected(g):
         raise ValueError("threshold expects a connected graph")
-    longest = longest_basis_cycle(g)
+    basis = minimum_cycle_basis(g)  # shortest first
+    girth, longest = (basis[0][0], basis[-1][0]) if basis else (0, 0)
     k = 1
     tested = []
     while 4 * k + 2 <= longest:
         tested.append(k)
-        if folds_to_cycle(g, 4 * k + 2, budget=budget) is None:
+        length = 4 * k + 2
+        # a graph on at most L vertices folds onto C_L only if it is C_L
+        if length > girth and (g.n <= length or
+                               _winding_image(g, length, bip, budget) is None):
             break
         k += 1
     return ThresholdResult(k=k, longest_basis_cycle=longest, tested=tuple(tested))

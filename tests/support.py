@@ -363,6 +363,26 @@ def brute_longest_basis_cycle(g: Graph) -> int:
     return longest
 
 
+def reference_fold(g: Graph, x: int, y: int):
+    """``fold.elementary_fold`` by rebuilding the graph: identify x and y
+    (at distance exactly 2) into min(x, y), splice out max(x, y) and return
+    (folded graph, (kept, merged, old vertex -> new vertex))."""
+    if x == y or g.has_edge(x, y) or \
+            not set(g.adjacency[x]).intersection(g.adjacency[y]):
+        raise ValueError(f"vertices {x} and {y} are not at distance 2")
+    kept, removed = min(x, y), max(x, y)
+    vmap = []
+    for v in range(g.n):
+        if v == removed:
+            vmap.append(kept)
+        elif v > removed:
+            vmap.append(v - 1)
+        else:
+            vmap.append(v)
+    edges = {(min(vmap[u], vmap[v]), max(vmap[u], vmap[v])) for (u, v) in g.edges}
+    return build_graph(g.n - 1, edges), (kept, removed, tuple(vmap))
+
+
 def brute_folds_to_cycle(g: Graph, length: int) -> bool:
     """Does g fold onto C_length?  Walks the whole fold closure (every
     identification of two vertices at distance 2), one graph per

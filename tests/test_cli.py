@@ -238,6 +238,14 @@ class TestMix:
         assert (code, out) == (3, "") and "more than 100000" in err
         assert not (tmp_path / "cut.wit").exists()
 
+    def test_certificate_into_a_missing_directory_prints_nothing(self, tmp_path, capsys):
+        # the trace file is written before the verdict: exit 4, empty stdout
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        cert = tmp_path / "missing" / "c10.trace"
+        code, out, err = run(capsys, "mix", c10, "-p", "3", "-q", "1",
+                             "--method", "fold", "--certificate", str(cert))
+        assert (code, out) == (4, "") and "No such file or directory" in err
+
 
 class TestReach:
     def test_oracle_path(self, tmp_path, capsys):
@@ -419,6 +427,12 @@ class TestOtherCommands:
         c4 = write_graph(tmp_path, support.cycle(4), "c4.txt")
         code, text, _ = run(capsys, "fold-search", c4, "-L", "6")
         assert code == 1 and "NONE" in text
+
+    def test_fold_search_into_a_missing_directory_prints_nothing(self, tmp_path, capsys):
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        out = tmp_path / "missing" / "t.trace"
+        code, text, err = run(capsys, "fold-search", c10, "-L", "6", "--out", str(out))
+        assert (code, text) == (4, "") and "No such file or directory" in err
 
     def test_threshold(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,18 +1,21 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 import support
-from circmix import fold
+from circmix import files, fold
 from circmix.circular import CircularParams
-from circmix.fold import (circular_mixing_threshold, elementary_fold,
+from circmix.cli import main
+from circmix.fold import (ThresholdResult, circular_mixing_threshold, elementary_fold,
                           folds_to_cycle, is_homomorphism_onto,
                           odd_mixing_by_fold, reduce_dominated, replay_trace,
                           retract_to_path, retract_to_shortest_cycle,
-                          _is_cycle_graph, _winding_trace)
-from circmix.generators import pinched_octagon
+                          _fold_by_image, _is_cycle_graph, _winding_image)
+from circmix.generators import pinched_octagon, theta_graph
 from circmix.graphs import (bipartition, build_graph, distance, is_connected,
+                            minimum_cycle_basis,
                             shortest_cycle)
 from circmix.kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 from circmix.reconfig import is_mixing_oracle, is_mixing_wind
@@ -59,6 +62,46 @@ class TestElementaryFold:
                 if distance(g, x, y) == 2:
                     h, _ = elementary_fold(g, x, y)
                     assert h.n == g.n - 1
+
+
+class TestInPlaceFolds:
+    @staticmethod
+    def _random_legal_folds(rng, g):
+        """Fold g at random legal pairs until none is left; returns the pairs
+        and, per step, the reference graph and source -> current map."""
+        pairs, graphs, maps = [], [g], [tuple(range(g.n))]
+        while True:
+            h = graphs[-1]
+            legal = [(x, y) for x in range(h.n) for y in range(h.n)
+                     if x != y and not h.has_edge(x, y)
+                     and set(h.adjacency[x]) & set(h.adjacency[y])]
+            if not legal:
+                return pairs, graphs, maps
+            x, y = rng.choice(legal)
+            h, (kept, merged, vmap) = support.reference_fold(h, x, y)
+            pairs.append((x, y, (kept, merged, vmap)))
+            graphs.append(h)
+            maps.append(tuple(vmap[v] for v in maps[-1]))
+
+    def test_replay_matches_rebuilt_folds(self):
+        # every prefix of a random legal fold sequence replays to the graph,
+        # steps and composite map of folding by rebuilding the graph
+        rng = random.Random(21)
+        sources = [support.random_sparse_bipartite(rng) for _ in range(30)]
+        while len(sources) < 45:
+            n = rng.choice((6, 7, 8))
+            g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.35])
+            if is_connected(g):
+                sources.append(g)
+        for g in sources:
+            pairs, graphs, maps = self._random_legal_folds(rng, g)
+            for i in range(len(pairs) + 1):
+                trace = replay_trace(g, [(x, y) for x, y, _ in pairs[:i]])
+                assert [(s.kept, s.merged, s.vertex_map) for s in trace.steps] == \
+                    [ref for _, _, ref in pairs[:i]]
+                assert trace.final == graphs[i] and trace.vertex_map == maps[i]
+                assert is_homomorphism_onto(g, trace.final, trace.vertex_map)
 
 
 class TestTraces:
@@ -116,8 +159,10 @@ class TestReduceDominated:
 
 class TestFoldsToCycle:
     def test_identity_target(self):
-        trace = folds_to_cycle(support.cycle(6), 6)
+        g = support.cycle(6)
+        trace = folds_to_cycle(g, 6)
         assert trace is not None and len(trace.steps) == 0
+        assert trace.final is g and trace.vertex_map == tuple(range(6))
 
     def test_too_small(self):
         assert folds_to_cycle(support.cycle(4), 6) is None
@@ -163,9 +208,16 @@ class TestFoldsToCycle:
         # run the winding construction on an input the fast path would take
         g = support.cycle(10)
         fast = folds_to_cycle(g, 6)
-        slow = _winding_trace(g, 6, bipartition(g), DEFAULT_STATE_BUDGET)
-        assert fast is not None and slow is not None
+        slow = _fold_by_image(g, _winding_image(g, 6, bipartition(g), DEFAULT_STATE_BUDGET), 6)
+        assert fast is not None
         assert _is_cycle_graph(fast.final, 6) and _is_cycle_graph(slow.final, 6)
+
+    def test_long_cycle_trace_replays(self):
+        g = support.cycle(400)
+        trace = folds_to_cycle(g, 6)
+        assert len(trace) == 394
+        replayed = replay_trace(g, [(s.kept, s.merged) for s in trace.steps])
+        assert _is_cycle_graph(replayed.final, 6) and replayed == trace
 
     def test_girth_path_searches_for_the_girth_once(self, monkeypatch):
         # the retraction reuses the shortest cycle the girth test found
@@ -256,6 +308,36 @@ class TestOddMixing:
         with pytest.raises(ValueError):
             odd_mixing_by_fold(support.cycle(5), 1)
 
+    def test_checks_each_graph_once(self, monkeypatch):
+        # one bipartition for the input; its components and their basis are
+        # not recomputed inside the fold search
+        counts = {}
+
+        def counted(name):
+            real = getattr(fold, name)
+
+            def call(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("bipartition", "connected_components", "is_connected",
+                     "longest_basis_cycle"):
+            monkeypatch.setattr(fold, name, counted(name))
+        hexagon_and_edge = build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7)])
+        theta = theta_graph(2, 2, 4).graph  # girth 4 < 6: the scan answers
+        # (graph, mixes, basis calls, folds built): only a folded graph's
+        # final cycle has its connectivity tested
+        for g, mixing, basis_calls, folded in ((support.cycle(10), False, 0, 1),
+                                               (hexagon_and_edge, False, 0, 0),
+                                               (theta, False, 1, 1),
+                                               (support.grid(3, 3), True, 1, 0)):
+            counts.clear()
+            assert odd_mixing_by_fold(g, 1)[0] is mixing
+            assert counts.get("bipartition") == 1 and counts.get("connected_components") == 1
+            assert counts.get("longest_basis_cycle", 0) == basis_calls
+            assert counts.get("is_connected", 0) == folded
+
 
 class TestThreshold:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -276,6 +358,50 @@ class TestThreshold:
             assert odd_mixing_by_fold(g, res.k)[0]
             if res.k > 1:
                 assert not odd_mixing_by_fold(g, res.k - 1)[0]
+
+    def test_matches_the_brute_fold_closure(self):
+        for n in range(2, 8):
+            for g in support.connected_bipartite_upto_iso(n):
+                k = 1
+                while support.brute_folds_to_cycle(g, 4 * k + 2):
+                    k += 1
+                assert circular_mixing_threshold(g).k == k, g.edges
+
+    def test_one_basis_and_scans_only_past_the_girth(self, monkeypatch):
+        bases, scanned = [], []
+        winding_image = fold._winding_image
+
+        def counted_basis(g):
+            bases.append(g)
+            return minimum_cycle_basis(g)
+
+        def counted_image(g, length, bip, budget):
+            scanned.append(length)
+            return winding_image(g, length, bip, budget)
+
+        monkeypatch.setattr(fold, "minimum_cycle_basis", counted_basis)
+        monkeypatch.setattr(fold, "_winding_image", counted_image)
+        # basis cycles 6 and 16: C_6 folds at the girth, C_10 and C_14 scan
+        res = circular_mixing_threshold(theta_graph(3, 3, 13).graph)
+        assert res == ThresholdResult(k=4, longest_basis_cycle=16, tested=(1, 2, 3))
+        assert len(bases) == 1 and scanned == [10, 14]
+        rng = random.Random(22)
+        for _ in range(60):
+            g = support.random_sparse_bipartite(rng)
+            bases.clear()
+            scanned.clear()
+            res = circular_mixing_threshold(g)
+            basis = minimum_cycle_basis(g)
+            girth = basis[0][0] if basis else 0
+            assert len(bases) == 1
+            # a graph on at most L vertices folds onto C_L only if it is C_L
+            assert scanned == [4 * k + 2 for k in res.tested if girth < 4 * k + 2 < g.n]
+
+    def test_long_cycle(self):
+        # every k up to 100 folds at the girth, with no scan and no trace
+        res = circular_mixing_threshold(support.cycle(402))
+        assert res == ThresholdResult(k=101, longest_basis_cycle=402,
+                                      tested=tuple(range(1, 101)))
 
 
 class TestRetractions:
@@ -360,3 +486,22 @@ def test_folds_can_lengthen_the_longest_cycle():
     assert max(map(len, support.brute_cycle_sets(g, g.n))) == 4
     folded, _ = elementary_fold(g, 1, 4)
     assert max(map(len, support.brute_cycle_sets(folded, folded.n))) == 6
+
+
+def test_fold_answers_match_the_pinned_digest(tmp_path, capsys):
+    # fold traces onto C_4..C_10 and ``threshold`` lines over a seeded sweep,
+    # pinned to their bytes before folds merged in place
+    rng = random.Random(21)
+    digest = hashlib.sha256()
+    path = tmp_path / "g.txt"
+    for _ in range(200):
+        g = support.random_sparse_bipartite(rng)
+        for length in (4, 6, 8, 10):
+            trace = folds_to_cycle(g, length)
+            digest.update(b"NONE\n" if trace is None else
+                          files.serialize_fold_trace(trace, graph_ref="g.txt").encode())
+        path.write_text(files.serialize_graph_document(files.GraphDocument(graph=g)))
+        assert main(["threshold", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == \
+        "e2c640c0d06b45d913929869e2e78673db22991b81a9688e9b831b03c9835fb6"
