@@ -45,9 +45,8 @@ class CircularParams:
 
 def require_ratio_open(params: CircularParams) -> None:
     """Guard for results that hold only for 2 < p/q < 4."""
-    r = params.ratio
-    if not (2 < r < 4):
-        raise ValueError(f"p/q must lie strictly between 2 and 4, got {r}")
+    if not 2 * params.q < params.p < 4 * params.q:
+        raise ValueError(f"p/q must lie strictly between 2 and 4, got {params.ratio}")
 
 
 def minimal_non_mixing_even_cycle(params: CircularParams) -> int:

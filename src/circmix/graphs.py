@@ -12,7 +12,11 @@ its parent array.  ``shortest_cycle`` keeps its own early-exit BFS and is
 the one odd-cycle answer (``bipartition`` only reports whether one exists).
 ``minimum_cycle_basis`` is the one basis routine behind every cycle-length
 bound (the fold prune, the threshold scan and the wind shortcut); it takes
-polynomial time, so it has no vertex cap.
+polynomial time, so it has no vertex cap.  Both search for cycles only from
+``_cycle_roots``, the vertices of degree 3 or more plus one vertex of each
+bare-cycle component: every cycle meets them, and a cycle search from a
+vertex of a cycle sees that cycle, so a long cycle costs one BFS, not one
+per vertex.
 """
 
 from __future__ import annotations
@@ -238,68 +242,112 @@ def enumerate_cycles(g: Graph, max_len: int) -> Iterator[Cycle]:
         yield from extend()
 
 
+def _cycle_roots(g: Graph, comps=None) -> list:
+    """A feedback vertex set, ascending: the vertices of degree at least 3
+    and the least vertex of each component that is a bare cycle.  Every
+    cycle meets one of them, since a cycle through degree-2 vertices only
+    is a whole component.  ``comps`` is ``connected_components(g)`` when
+    the caller already has it."""
+    roots = [v for v in range(g.n) if len(g.adjacency[v]) >= 3]
+    for comp in comps if comps is not None else connected_components(g):
+        if len(comp) >= 3 and all(len(g.adjacency[v]) == 2 for v in comp):
+            roots.append(comp[0])
+    return sorted(roots)
+
+
+def _shorter_cycle_from(g: Graph, s: int, odd: bool, best):
+    """BFS from s, closing a cycle through the tree at every non-tree edge
+    u-v (odd exactly when u and v sit on the same level); returns the first
+    of the shortest it closes when that is shorter than ``best`` (a vertex
+    list, or None), else ``best``."""
+    slack = 1 if odd else 0
+    dist = {s: 0}
+    parent = {s: -1}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        if best is not None and 2 * dist[u] + slack >= len(best):
+            break
+        for v in g.adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                parent[v] = u
+                queue.append(v)
+            elif parent[u] != v and (not odd or dist[v] == dist[u]):
+                # Cross or level edge closes a cycle through s.
+                vs = _tree_cycle(parent, u, v)
+                if best is None or len(vs) < len(best):
+                    best = vs
+    return best
+
+
 def shortest_cycle(g: Graph, odd: bool = False) -> Optional[Cycle]:
     """A shortest cycle (with ``odd``, a shortest odd cycle), or None when
     there is none.
 
-    A BFS from each vertex s in ascending order closes a cycle through the
-    tree at every non-tree edge u-v; that cycle is odd exactly when u and v
-    sit on the same level.  The first cycle of the minimum length wins.
+    The answer is the first cycle of the minimum length that BFS scans from
+    the vertices in ascending order close (``_shorter_cycle_from``).  A
+    shortest (odd) cycle is isometric, so the scan from any of its vertices
+    closes one of its length; every cycle meets ``_cycle_roots``, so the
+    scans from those roots alone give the length.  The ascending scan then
+    reruns only until it closes a cycle of that length, which is the cycle
+    the full scan keeps, since later scans only replace a strictly longer
+    one.  When every vertex is a root the first pass is that scan.
     """
+    roots = _cycle_roots(g)
     best = None
-    slack = 1 if odd else 0
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * dist[u] + slack >= len(best):
-                break
-            for v in g.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v and (not odd or dist[v] == dist[u]):
-                    # Cross or level edge closes a cycle through s.
-                    vs = _tree_cycle(parent, u, v)
-                    if best is None or len(vs) < len(best):
-                        best = vs
+    for s in roots:
+        best = _shorter_cycle_from(g, s, odd, best)
         if best is not None and len(best) == 3:
             break
+    if best is not None and len(roots) < g.n:
+        girth, best = len(best), None
+        for s in range(g.n):
+            best = _shorter_cycle_from(g, s, odd, best)
+            if best is not None and len(best) == girth:
+                break
     return Cycle.from_vertices(best) if best is not None else None
 
 
 def minimum_cycle_basis(g: Graph) -> list:
     """A minimum cycle basis, shortest first, as (length, edges) pairs where
-    ``edges`` is an int bitset over ``sorted(g.edges)``; ``edge_set_cycle``
-    turns one into its vertex sequence.  Empty when g is acyclic.
+    ``edges`` is an int bitset over ``sorted(g.edges)``; ``edge_set_cycles``
+    turns them into vertex sequences.  Empty when g is acyclic.
 
-    Horton (1987): for each root r and edge u-v whose BFS tree paths r..u
+    Horton (1987): for a root r and an edge u-v whose BFS tree paths r..u
     and r..v meet only at r, those paths closed by u-v form a candidate
-    cycle, and the candidates hold a minimum basis.  Taking them shortest
-    first and keeping each one GF(2)-independent of those kept builds one.
-    Every minimum basis has the same lengths, so they do not depend on the
-    order of ties.
+    cycle.  His exchange argument works at any one vertex x of a cycle C:
+    either C is a candidate from x, or a tree path from x to C splits C
+    into two cycles through x that are shorter, or as long with fewer
+    non-tree edges.  So the candidates from roots that every cycle meets
+    (``_cycle_roots``, a feedback vertex set; Kavitha et al. 2009) span,
+    length by length, what all cycles span.  Taking them shortest first
+    (then by bitset) and keeping each one GF(2)-independent of those kept
+    builds a minimum basis.  Every minimum basis has the same lengths, so
+    they do not depend on the roots or on the order of ties; which cycles
+    win a tie does (a search from every vertex can add a tied candidate
+    that only a degree-2 vertex closes).
     """
-    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
+    bit = {}
+    for i, (u, v) in enumerate(sorted(g.edges)):
+        bit[u, v] = bit[v, u] = 1 << i
+    comps = connected_components(g)
     candidates = set()
-    for r in range(g.n):
+    for r in _cycle_roots(g, comps):
         parent, depth, order = bfs_forest(g.adjacency, (r,))
         branch = [r] * g.n  # the child of r whose subtree holds v
         path_edges = [0] * g.n
         for v in order[1:]:
             u = parent[v]
             branch[v] = v if u == r else branch[u]
-            path_edges[v] = path_edges[u] | bit[min(u, v), max(u, v)]
-        for (u, v), b in bit.items():
+            path_edges[v] = path_edges[u] | bit[u, v]
+        for (u, v) in g.edges:
             # a tree edge at r or an edge outside r's component closes
             # fewer than three vertices
             length = depth[u] + depth[v] + 1
             if length >= 3 and branch[u] != branch[v]:
-                candidates.add((length, path_edges[u] | path_edges[v] | b))
-    rank = cycle_space_dimension(g)
+                candidates.add((length, path_edges[u] | path_edges[v] | bit[u, v]))
+    rank = g.m - g.n + len(comps)
     basis, rows = [], {}
     for length, edges in sorted(candidates):
         if len(basis) == rank:
@@ -341,19 +389,26 @@ def _independent(rows: dict, edges: int) -> bool:
     return False
 
 
-def edge_set_cycle(g: Graph, edges: int) -> Cycle:
-    """The cycle whose edge set is the bitset ``edges`` over ``sorted(g.edges)``."""
-    ends = {}
-    for i, (u, v) in enumerate(sorted(g.edges)):
-        if edges >> i & 1:
+def edge_set_cycles(g: Graph, bitsets) -> list:
+    """The cycles whose edge sets are the ``bitsets`` over ``sorted(g.edges)``,
+    all read against one sorted edge list."""
+    order = sorted(g.edges)
+    cycles = []
+    for edges in bitsets:
+        ends = {}
+        while edges:  # set bits lowest first
+            low = edges & -edges
+            u, v = order[low.bit_length() - 1]
             ends.setdefault(u, []).append(v)
             ends.setdefault(v, []).append(u)
-    walk = [min(ends)]
-    walk.append(ends[walk[0]][0])
-    while len(walk) < len(ends):
-        a, b = ends[walk[-1]]
-        walk.append(b if a == walk[-2] else a)
-    return Cycle.from_vertices(walk)
+            edges ^= low
+        walk = [min(ends)]
+        walk.append(ends[walk[0]][0])
+        while len(walk) < len(ends):
+            a, b = ends[walk[-1]]
+            walk.append(b if a == walk[-2] else a)
+        cycles.append(Cycle.from_vertices(walk))
+    return cycles
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        enumerate_colourings, minimal_non_mixing_even_cycle,
                        require_ratio_open, validate_colouring)
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components,
-                     cycle_rank, cycle_space_dimension, edge_set_cycle,
+                     cycle_rank, cycle_space_dimension, edge_set_cycles,
                      fundamental_cycle_basis, is_cycle_of, minimum_cycle_basis,
                      shortest_cycle, tree_path)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError, np
@@ -466,7 +466,7 @@ def mixing_basis(g: Graph, params: CircularParams) -> Optional[MixingBasis]:
     if basis is None:
         return None
     return MixingBasis(graph=g, p=params.p, q=params.q,
-                       cycles=tuple(edge_set_cycle(g, edges) for _, edges in basis))
+                       cycles=tuple(edge_set_cycles(g, [edges for _, edges in basis])))
 
 
 def verify_mixing_basis(b: MixingBasis):

@@ -10,13 +10,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
 
 from circmix.circular import CircularParams, Colouring
 from circmix.generators import grid_graph
-from circmix.graphs import Graph, build_graph, is_connected
+from circmix.graphs import (Cycle, Graph, bfs_forest, build_graph, connected_components,
+                            is_connected, tree_path)
 from circmix.kernels import BudgetExceededError
 from circmix.planar import RotationSystem, faces
 
@@ -361,6 +363,77 @@ def brute_longest_basis_cycle(g: Graph) -> int:
             kept.append((min(row, key=sorted), row))
             longest = len(seq)
     return longest
+
+
+def reference_horton_candidates(g: Graph, roots=None) -> set:
+    """Horton's candidate cycles from ``roots`` (every vertex when None), as
+    (length, edge bitset over ``sorted(g.edges)``) pairs: for each root r,
+    the BFS tree paths r..u and r..v that meet only at r, closed by the
+    edge u-v."""
+    bit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
+    candidates = set()
+    for r in range(g.n) if roots is None else roots:
+        parent, depth, order = bfs_forest(g.adjacency, (r,))
+        branch = [r] * g.n
+        path_edges = [0] * g.n
+        for v in order[1:]:
+            u = parent[v]
+            branch[v] = v if u == r else branch[u]
+            path_edges[v] = path_edges[u] | bit[min(u, v), max(u, v)]
+        for (u, v), b in bit.items():
+            length = depth[u] + depth[v] + 1
+            if length >= 3 and branch[u] != branch[v]:
+                candidates.add((length, path_edges[u] | path_edges[v] | b))
+    return candidates
+
+
+def reference_minimum_cycle_basis(g: Graph, roots=None) -> list:
+    """A minimum cycle basis from the Horton candidates of ``roots`` (every
+    vertex when None), shortest first, then by bitset, each kept when
+    GF(2)-independent of those kept, until m - n + c are kept."""
+    rank = g.m - g.n + len(connected_components(g))
+    basis, rows = [], {}
+    for length, edges in sorted(reference_horton_candidates(g, roots)):
+        if len(basis) == rank:
+            break
+        rest = edges
+        while rest and rest.bit_length() in rows:
+            rest ^= rows[rest.bit_length()]
+        if rest:
+            rows[rest.bit_length()] = rest
+            basis.append((length, edges))
+    return basis
+
+
+def reference_shortest_cycle(g: Graph, odd: bool = False):
+    """``graphs.shortest_cycle`` by a BFS from every vertex in ascending
+    order, keeping the first cycle of the least length that one closes."""
+    best = None
+    slack = 1 if odd else 0
+    for s in range(g.n):
+        dist = {s: 0}
+        parent = {s: -1}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if best is not None and 2 * dist[u] + slack >= len(best):
+                break
+            for v in g.adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif parent[u] != v and (not odd or dist[v] == dist[u]):
+                    pu, pv = tree_path(parent, u), tree_path(parent, v)
+                    while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
+                        pu.pop()
+                        pv.pop()
+                    vs = pu + pv[:-1][::-1]
+                    if best is None or len(vs) < len(best):
+                        best = vs
+        if best is not None and len(best) == 3:
+            break
+    return Cycle.from_vertices(best) if best is not None else None
 
 
 def reference_fold(g: Graph, x: int, y: int):

@@ -4,12 +4,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circmix
 import support
-from circmix.graphs import (Bipartition, Cycle, bipartition, blocks, build_graph,
+from circmix import graphs
+from circmix.generators import theta_graph
+from circmix.graphs import (Bipartition, Cycle, _cycle_roots, bipartition, blocks, build_graph,
                             connected_components, cycle_rank,
-                            cycle_space_dimension, distance, edge_set_cycle,
+                            cycle_space_dimension, distance, edge_set_cycles,
                             enumerate_cycles, fundamental_cycle_basis,
                             induced_subgraph, is_cycle_of, longest_basis_cycle,
                             minimum_cycle_basis, shortest_cycle)
@@ -257,7 +261,7 @@ class TestCycleHelpers:
                 assert odd is None
             assert longest_basis_cycle(g) == support.brute_longest_basis_cycle(g)
             basis = minimum_cycle_basis(g)
-            cycles = [edge_set_cycle(g, edges) for _, edges in basis]
+            cycles = edge_set_cycles(g, [edges for _, edges in basis])
             assert [len(c) for c in cycles] == sorted(k for k, _ in basis)
             assert all(is_cycle_of(g, c.vertices) for c in cycles)
             assert len(cycles) == cycle_rank(g, cycles) == cycle_space_dimension(g)
@@ -269,6 +273,103 @@ class TestCycleHelpers:
         outer = Cycle((0, 1, 2, 3, 4, 5))
         assert cycle_rank(g, squares + [outer]) == 2 == cycle_space_dimension(g)
         assert cycle_rank(g, [outer, outer]) == 1
+
+
+@st.composite
+def cycle_search_graphs(draw):
+    """One to three components, each a random graph (mostly not bipartite),
+    a dense bipartite graph, a theta graph or a bare cycle, with pendant
+    trees hung on them and the vertices relabelled at random."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, edges = 0, []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("random", "bipartite", "theta", "cycle"))
+        if kind == "random":
+            k = rng.randint(1, 8)
+            density = rng.choice((0.3, 0.5, 0.8))
+            edges += [(n + u, n + v) for u, v in itertools.combinations(range(k), 2)
+                      if rng.random() < density]
+        elif kind == "bipartite":
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            k = a + b
+            edges += [(n + u, n + a + v) for u in range(a) for v in range(b)
+                      if rng.random() < 0.7]
+        elif kind == "theta":  # paths between the ends n and n + 1
+            k = 2
+            for length in [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]:
+                chain = [n] + list(range(n + k, n + k + length - 1)) + [n + 1]
+                edges += list(zip(chain, chain[1:]))
+                k += length - 1
+        else:
+            k = rng.randint(3, 9)
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        n += k
+    for _ in range(rng.randint(0, 5)):  # pendant trees
+        edges.append((rng.randrange(n), n))
+        n += 1
+    perm = rng.sample(range(n), n)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+ROOTS_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@ROOTS_SETTINGS
+@given(cycle_search_graphs())
+def test_cycle_searches_match_the_all_roots_references(g):
+    # the ascending rerun keeps the cycle the all-vertex scan returns
+    for odd in (False, True):
+        assert shortest_cycle(g, odd=odd) == support.reference_shortest_cycle(g, odd=odd)
+    # the basis is the greedy one over the roots' Horton candidates, and it
+    # is minimum: its lengths are those of the basis from every vertex
+    basis = minimum_cycle_basis(g)
+    assert basis == support.reference_minimum_cycle_basis(g, _cycle_roots(g))
+    assert [k for k, _ in basis] == [k for k, _ in support.reference_minimum_cycle_basis(g)]
+    if support.reference_horton_candidates(g) == \
+            support.reference_horton_candidates(g, _cycle_roots(g)):
+        assert basis == support.reference_minimum_cycle_basis(g)
+
+
+@ROOTS_SETTINGS
+@given(cycle_search_graphs())
+def test_cycle_roots_meet_every_cycle(g):
+    roots = _cycle_roots(g)
+    assert roots == sorted(set(roots))
+    rest, _ = induced_subgraph(g, set(range(g.n)) - set(roots))
+    assert cycle_space_dimension(rest) == 0
+
+
+def test_equal_theta_paths_keep_a_minimum_basis():
+    # four paths of length 3 between 4 and 5: the searches from 4 and 5 reach
+    # the far end through 0-6 and 9-1, so the 6-cycle through 2-3 and 8-7
+    # is a candidate only from its inner vertices, and the third basis cycle
+    # differs from the basis over every vertex's candidates, at equal length
+    g = build_graph(10, [(0, 4), (0, 6), (1, 5), (1, 9), (2, 3), (2, 4), (3, 5), (4, 8),
+                         (4, 9), (5, 6), (5, 7), (7, 8)])
+    basis, everywhere = minimum_cycle_basis(g), support.reference_minimum_cycle_basis(g)
+    assert [c.vertices for c in edge_set_cycles(g, [e for _, e in basis])] == \
+        [(1, 5, 3, 2, 4, 9), (0, 4, 2, 3, 5, 6), (1, 5, 7, 8, 4, 9)]
+    assert [c.vertices for c in edge_set_cycles(g, [e for _, e in everywhere])] == \
+        [(1, 5, 3, 2, 4, 9), (0, 4, 2, 3, 5, 6), (2, 3, 5, 7, 8, 4)]
+    assert cycle_rank(g, edge_set_cycles(g, [e for _, e in basis])) == 3
+
+
+@pytest.mark.parametrize("g", [support.cycle(402), theta_graph(100, 150, 200).graph],
+                         ids=["C402", "theta"])
+def test_basis_searches_from_the_feedback_roots_only(g, monkeypatch):
+    searches = []
+    forest = graphs.bfs_forest
+
+    def counted(adjacency, roots):
+        roots = tuple(roots)
+        if len(roots) == 1:  # one Horton search, not the component sweep
+            searches.append(roots[0])
+        return forest(adjacency, roots)
+
+    monkeypatch.setattr(graphs, "bfs_forest", counted)
+    lengths = [k for k, _ in minimum_cycle_basis(g)]
+    assert len(searches) <= 2
+    assert lengths == ([402] if g.n == 402 else [250, 300])
 
 
 class TestCanonicalKey:
@@ -330,7 +431,9 @@ class TestCanonicalKey:
 
 def test_one_bfs_routine():
     # graphs.bfs_forest is the one vertex-level BFS (shortest_cycle keeps its
-    # early exit beside it), so no other module imports or names a deque.
+    # early-exit BFS, graphs._shorter_cycle_from, beside it and runs it from
+    # the feedback roots, then from ascending vertices until the girth
+    # cycle), so no other module imports or names a deque.
     for path in sorted(Path(circmix.__file__).parent.glob("*.py")):
         if path.name != "graphs.py":
             names = {getattr(node, key, None)
