@@ -99,13 +99,18 @@ def parse_graph_document(text: str) -> GraphDocument:
     def directive(line):
         nonlocal n, outer
         if line.startswith("n "):
+            if n is not None or int(line.split()[1]) < 0:
+                raise ValueError("a second or negative vertex count")
             n = int(line.split()[1])
         elif line.startswith("edge "):
             _, u, v = line.split()
             edges.append((int(u), int(v)))
         elif line.startswith("rotation "):
             head, rest = line.split(":", 1)
-            rotations[int(head.split()[1])] = _ints(rest)
+            v = int(head.split()[1])
+            if v in rotations:
+                raise ValueError("a second rotation of one vertex")
+            rotations[v] = _ints(rest)
         elif line.startswith("outer:"):
             outer = int(line.split(":", 1)[1])
         elif line.startswith("colouring "):
@@ -119,16 +124,23 @@ def parse_graph_document(text: str) -> GraphDocument:
     if n is None:
         raise ParseError("graph document missing an 'n <count>' line")
     try:
+        if any(not 0 <= v < n for v in rotations):
+            raise ValueError("a rotation of a vertex outside 0..n-1")
         graph = build_graph(n, edges)
     except ValueError:
-        # n may follow the edges, so a refused edge is named only now; every
-        # content line starting "edge " was read as an edge directive
+        # n may follow the edges and rotations, so a refused one is named only
+        # now; every content line starting "edge " or "rotation " was read as
+        # that directive
         for lineno, line in _content_lines(text):
-            if line.startswith("edge "):
-                try:
+            try:
+                if line.startswith("edge "):
                     build_graph(n, [_ints(line[5:])])
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
+                elif line.startswith("rotation "):
+                    v = int(line.split(":")[0].split()[1])
+                    if not 0 <= v < n:
+                        raise ValueError(f"rotation of vertex {v} outside 0..{n - 1}")
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         raise
     rotation = None
     if rotations:

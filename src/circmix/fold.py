@@ -19,9 +19,8 @@ from typing import Optional
 from . import kernels
 from .circular import CircularParams, require_ratio_open
 from .graphs import (Bipartition, Graph, bfs_forest, bipartition, build_graph,
-                     connected_components, fundamental_cycle_basis,
-                     induced_subgraph, is_connected, longest_basis_cycle,
-                     minimum_cycle_basis, shortest_cycle, tree_path)
+                     connected_components, edge_set_cycles, induced_subgraph,
+                     is_connected, minimum_cycle_basis, shortest_cycle, tree_path)
 from .kernels import DEFAULT_STATE_BUDGET, np
 
 
@@ -278,21 +277,21 @@ def folds_to_cycle(g: Graph, length: int,
     becomes a closed walk plus an x-w-y detour round a common neighbour w,
     and the detour winds zero, so some cycle of that walk winds.
 
-    Winding is Z-linear over the cycle space, which the fundamental cycles
-    generate over Z, so checking them is enough.  Shifting phi keeps every
-    winding, so vertex 0 takes image 0; for even L every step changes
-    parity, so each vertex of a bipartite g takes only images of its side's
-    parity, which loses no homomorphism and cuts partial maps that cannot
-    extend.  For odd L every phi winds an odd cycle of a non-bipartite g (an
-    odd closed walk cannot balance), so the scan stops at the first phi.
-    ``kernels.first_unbalanced`` runs the scan; ``budget`` caps its partial
-    maps.
+    Winding is Z-linear over the cycle space, which a minimum cycle basis
+    spans over Q (GF(2)-independent cycles are Q-independent), so checking
+    its cycles is enough.  Shifting phi keeps every winding, so vertex 0
+    takes image 0; for even L every step changes parity, so each vertex of a
+    bipartite g takes only images of its side's parity, which loses no
+    homomorphism and cuts partial maps that cannot extend.  For odd L every
+    phi winds an odd cycle of a non-bipartite g (an odd closed walk cannot
+    balance), so the scan stops at the first phi.  ``kernels.first_unbalanced``
+    runs the scan; ``budget`` caps its partial maps.
 
     Two answers need no scan.  A bipartite g with girth M >= L retracts
     onto a shortest cycle, and the position of each vertex's retraction
     image on that cycle is a phi: g -> C_M that winds it once.  And g
     cannot fold onto C_L when its minimum cycle basis has only cycles
-    shorter than L (``longest_basis_cycle``):
+    shorter than L:
 
     * even L >= 6: some coprime (p, q) with 2 < p/q < 4 has threshold
       2*ceil(p/(p-2q)) = L ((2k+1, k) for L = 4k+2, (6k-1, 3k-2) for
@@ -317,7 +316,7 @@ def _fold_trace(g: Graph, length: int, bip: Bipartition,
 
     ``shortest_cycle`` runs the girth test because the girth path folds by
     its canonical cycle; the minimum cycle basis is built only when the
-    girth is below L."""
+    girth is below L, and the scan reads its cycles."""
     if g.n == g.m == length and all(len(a) == 2 for a in g.adjacency):
         return _TraceBuilder(g).trace()  # connected and 2-regular: g is C_L
     if g.n <= length:
@@ -330,9 +329,10 @@ def _fold_trace(g: Graph, length: int, bip: Bipartition,
         shortest = shortest_cycle(g)
         if shortest is not None and len(shortest) >= length:
             return _guided_cycle_trace(g, length, shortest)
-    if longest_basis_cycle(g) < length:
+    basis = minimum_cycle_basis(g)
+    if not basis or basis[-1][0] < length:
         return None
-    image = _winding_image(g, length, bip, budget)
+    image = _winding_image(g, length, bip, edge_set_cycles(g, basis), budget)
     return None if image is None else _fold_by_image(g, image, length)
 
 
@@ -345,10 +345,10 @@ def _guided_cycle_trace(g: Graph, length: int, shortest) -> FoldTrace:
     return _fold_by_image(g, [position[v] for v in r.assignment], length)
 
 
-def _winding_image(g: Graph, length: int, bip: Bipartition,
+def _winding_image(g: Graph, length: int, bip: Bipartition, cycles: list,
                    budget: int) -> Optional[list]:
     """The least homomorphism onto C_length, vertex 0 at image 0, that winds
-    a fundamental cycle, as a list over the vertices; None when none winds."""
+    one of ``cycles``, which span the cycle space; None when none winds."""
     colours = np.arange(length)
     step = (colours[:, None] - colours[None, :]) % length
     domain = np.ones((g.n, length), dtype=bool)
@@ -356,7 +356,7 @@ def _winding_image(g: Graph, length: int, bip: Bipartition,
     if bip.valid:
         domain &= colours[None, :] % 2 == np.array(bip.side)[:, None]
     row, _ = kernels.first_unbalanced(g, (step == 1) | (step == length - 1), domain,
-                                      fundamental_cycle_basis(g).fundamental, budget)
+                                      cycles, budget)
     return None if row is None else row.tolist()
 
 
@@ -444,7 +444,7 @@ def circular_mixing_threshold(g: Graph,
     Below that each k is settled by whether a fold exists, never by building
     one: g folds onto C_{4k+2} when 4k+2 is at most its girth (the first
     cycle of the same basis), and otherwise exactly when some homomorphism
-    onto C_{4k+2} winds a cycle.
+    onto C_{4k+2} winds one of that basis's cycles.
     """
     bip = bipartition(g)
     if not bip.valid:
@@ -453,14 +453,18 @@ def circular_mixing_threshold(g: Graph,
         raise ValueError("threshold expects a connected graph")
     basis = minimum_cycle_basis(g)  # shortest first
     girth, longest = (basis[0][0], basis[-1][0]) if basis else (0, 0)
+    cycles = None  # the basis cycles, decoded for the first scan
     k = 1
     tested = []
     while 4 * k + 2 <= longest:
         tested.append(k)
         length = 4 * k + 2
-        # a graph on at most L vertices folds onto C_L only if it is C_L
-        if length > girth and (g.n <= length or
-                               _winding_image(g, length, bip, budget) is None):
-            break
+        if length > girth:
+            # a graph on at most L vertices folds onto C_L only if it is C_L
+            if g.n <= length:
+                break
+            cycles = cycles or edge_set_cycles(g, basis)
+            if _winding_image(g, length, bip, cycles, budget) is None:
+                break
         k += 1
     return ThresholdResult(k=k, longest_basis_cycle=longest, tested=tuple(tested))

@@ -11,12 +11,14 @@ dual pass their own neighbour lists), and ``tree_path`` reads a path out of
 its parent array.  ``shortest_cycle`` keeps its own early-exit BFS and is
 the one odd-cycle answer (``bipartition`` only reports whether one exists).
 ``minimum_cycle_basis`` is the one basis routine behind every cycle-length
-bound (the fold prune, the threshold scan and the wind shortcut); it takes
-polynomial time, so it has no vertex cap.  Both search for cycles only from
-``_cycle_roots``, the vertices of degree 3 or more plus one vertex of each
-bare-cycle component: every cycle meets them, and a cycle search from a
-vertex of a cycle sees that cycle, so a long cycle costs one BFS, not one
-per vertex.
+bound (the fold prune, the threshold scan, the wind shortcut) and every
+balance scan, which reads its chordless cycles (``edge_set_cycles``); it is
+polynomial, so it has no vertex cap.  Reachability signatures alone use
+``fundamental_cycle_basis``, cheaper than a Horton search per query.  Both
+cycle searches start only from ``_cycle_roots``, the vertices of degree 3
+or more plus one vertex of each bare-cycle component: every cycle meets
+them, and a cycle search from a vertex of a cycle sees that cycle, so a
+long cycle costs one BFS, not one per vertex.
 """
 
 from __future__ import annotations
@@ -357,12 +359,6 @@ def minimum_cycle_basis(g: Graph) -> list:
     return basis
 
 
-def longest_basis_cycle(g: Graph) -> int:
-    """Length of the longest cycle in a minimum cycle basis (0 if acyclic)."""
-    basis = minimum_cycle_basis(g)
-    return basis[-1][0] if basis else 0
-
-
 def cycle_space_dimension(g: Graph) -> int:
     """m - n + c: the size of every cycle basis of g."""
     return g.m - g.n + len(connected_components(g))
@@ -389,12 +385,12 @@ def _independent(rows: dict, edges: int) -> bool:
     return False
 
 
-def edge_set_cycles(g: Graph, bitsets) -> list:
-    """The cycles whose edge sets are the ``bitsets`` over ``sorted(g.edges)``,
-    all read against one sorted edge list."""
+def edge_set_cycles(g: Graph, basis) -> list:
+    """The cycles of ``basis``, ``minimum_cycle_basis`` pairs, all read
+    against one sorted edge list."""
     order = sorted(g.edges)
     cycles = []
-    for edges in bitsets:
+    for _, edges in basis:
         ends = {}
         while edges:  # set bits lowest first
             low = edges & -edges

@@ -5,15 +5,15 @@ decision procedure with checkable certificates.
 Two colourings are adjacent when they differ at exactly one vertex.  A graph
 "mixes" at (p,q) when that state graph is connected.  For 2 < p/q < 4 this
 is equivalent to every cycle having weight (|E|/2)*p under every colouring,
-which is what the wind decider checks on a fundamental cycle basis (the
-per-edge labels 2W-p and W_f-W_g are antisymmetric, so their cycle sums are
-linear over the cycle space and a basis check is exact).
+which the wind decider checks on a minimum cycle basis (the per-edge labels
+2W-p and W_f-W_g are antisymmetric, so their cycle sums are linear over the
+cycle space and a basis check is exact).
 
 No cycle shorter than T = 2*ceil(p/(p-2q)) is ever unbalanced, so a
 bipartite graph with a minimum cycle basis of cycles shorter than T mixes
 without any colouring being scanned.  That basis is the YES-certificate
-(``MixingBasis``); a wrapped cycle under one colouring is the
-NO-certificate (``NonMixingWitness``).
+(``MixingBasis``); a wrapped cycle of that basis under one colouring is
+the NO-certificate (``NonMixingWitness``).
 """
 
 from __future__ import annotations
@@ -225,7 +225,8 @@ def _tight_fixed_set(f: Colouring):
     Vertices on directed tight cycles can never move (the first one to move
     would have to move while its cycle neighbours still hold their colours,
     but it is locked); vertices on directed tight paths between such
-    vertices inherit the same freeze.  Returns (fixed set, evidence walks).
+    vertices inherit the same freeze.  Returns (fixed set, tight arcs, their
+    reverses, tight cycle by vertex).
     """
     arcs = _tight_arcs(f)
     rev = [[] for _ in arcs]
@@ -259,21 +260,15 @@ def _tight_fixed_set(f: Colouring):
             if u is not None:
                 cycles[v] = tuple(reversed(tree_path(parent, u))) + (v,)
     fixed = set(bfs_forest(arcs, cycles)[2]) & set(bfs_forest(rev, cycles)[2])
-    evidence = {}
-    for v in sorted(fixed):
-        if v in cycles:
-            evidence[v] = cycles[v]
-        else:
-            back = _walk_to_core(rev, cycles, v)  # v .. core, reversed arcs
-            fwd = _walk_to_core(arcs, cycles, v)  # v .. core, arcs
-            evidence[v] = tuple(reversed(back)) + tuple(fwd[1:])
-    return frozenset(fixed), evidence
+    return frozenset(fixed), arcs, rev, cycles
 
 
-def _walk_to_core(arcs: list, core, v: int) -> list:
-    """BFS path [v, ..., c] following arcs to the first core vertex c."""
-    parent, _, order = bfs_forest(arcs, (v,))
-    return tree_path(parent, next(u for u in order if u in core))[::-1]
+def _core_walk(arcs: list, rev: list, core, v: int) -> tuple:
+    """A tight walk from the core through v back to the core: the BFS paths
+    from v to the first core vertex reached against the arcs and along them."""
+    back, fwd = (tree_path(parent, next(u for u in order if u in core))
+                 for parent, _, order in (bfs_forest(rev, (v,)), bfs_forest(arcs, (v,))))
+    return tuple(back) + tuple(fwd[-2::-1])
 
 
 def fixed_vertices(f: Colouring, method: str = "tight-digraph",
@@ -298,7 +293,9 @@ def fixed_vertices(f: Colouring, method: str = "tight-digraph",
         return FixedSetReport(fixed=fixed, method="oracle", evidence={})
     if method == "tight-digraph":
         require_ratio_open(f.params)
-        fixed, evidence = _tight_fixed_set(f)
+        fixed, arcs, rev, cycles = _tight_fixed_set(f)
+        evidence = {v: cycles[v] if v in cycles else _core_walk(arcs, rev, cycles, v)
+                    for v in sorted(fixed)}
         return FixedSetReport(fixed=fixed, method="tight-digraph",
                               evidence=evidence)
     raise ValueError(f"unknown method {method!r}")
@@ -322,7 +319,7 @@ def reachability_signature(f: Colouring, basis=None):
     g = f.host
     if basis is None:
         basis = fundamental_cycle_basis(g)
-    fixed, _ = _tight_fixed_set(f)
+    fixed = _tight_fixed_set(f)[0]
     images = tuple((v, f.colours[v]) for v in sorted(fixed))
     cycle_weights = tuple(cycle_wind(f, c).weight for c in basis.fundamental)
     parent, _, order = bfs_forest(g.adjacency, range(g.n))
@@ -353,49 +350,12 @@ def is_reachable_characterized(f: Colouring, g: Colouring) -> bool:
 # The wind decider and its certificates.
 
 
-def _chordless_shrink(f: Colouring, vertices: tuple) -> tuple:
-    """Shrink a wrapped cycle across chords until chordless, staying wrapped.
-
-    The chord is the least edge (a, b), a < b, joining two cycle vertices
-    that are not consecutive on the cycle.  Splitting a wrapped cycle at a
-    chord leaves at least one wrapped part; we keep the shorter one, the
-    part running from a on a tie.
-    """
-    adjacency = f.host.adjacency
-    current = tuple(vertices)
-    while True:
-        pos = {v: i for i, v in enumerate(current)}
-        k = len(current)
-        chord = min(((a, b) for a in current for b in adjacency[a]
-                     if a < b and b in pos and (pos[a] - pos[b]) % k not in (1, k - 1)),
-                    default=None)
-        if chord is None:
-            return current
-        s, t = pos[chord[0]], pos[chord[1]]
-        parts = (tuple(current[(s + j) % k] for j in range((t - s) % k + 1)),
-                 tuple(current[(t + j) % k] for j in range((s - t) % k + 1)))
-        wrapped = [part for part in parts if cycle_wind(f, Cycle(part)).wrapped]
-        if not wrapped:
-            raise AssertionError("wrapped cycle split left no wrapped part")
-        current = min(wrapped, key=len)
-
-
-def _make_witness(f: Colouring, vertices: tuple) -> NonMixingWitness:
-    report = cycle_wind(f, Cycle.from_vertices(_chordless_shrink(f, vertices)))
+def _make_witness(f: Colouring, cycle: Cycle) -> NonMixingWitness:
+    report = cycle_wind(f, cycle)
     if not report.wrapped:
         raise AssertionError("witness cycle is not wrapped")
     return NonMixingWitness(colouring=f, cycle=report.cycle, weight=report.weight,
                             required=report.required)
-
-
-def _short_basis(g: Graph, params: CircularParams) -> Optional[list]:
-    """A minimum cycle basis of g (``minimum_cycle_basis`` pairs) when each
-    of its cycles is shorter than ``minimal_non_mixing_even_cycle``, else
-    None."""
-    basis = minimum_cycle_basis(g)
-    if basis and basis[-1][0] >= minimal_non_mixing_even_cycle(params):
-        return None
-    return basis
 
 
 def is_mixing_wind(g: Graph, params: CircularParams,
@@ -410,10 +370,12 @@ def is_mixing_wind(g: Graph, params: CircularParams,
     2*ceil(p/(p-2q)) mixes with no scan (``state_count`` None;
     ``mixing_basis`` gives the certificate), since no shorter cycle is ever
     unbalanced and imbalance is linear over the cycle space.  Every other
-    graph is scanned: any fundamental cycle whose weight misses (|E|/2)*p
-    yields a wrapped cycle, shrunk across chords into a concise witness.
-    The reported witness is deterministic: lexicographically least
-    colouring, then shortest unbalanced basis cycle.
+    graph is scanned over that basis: a basis cycle whose weight misses
+    (|E|/2)*p is a concise witness as it stands, since a chord would split
+    it into two shorter cycles, one of which could replace it in the basis
+    (a shortest odd cycle is chordless too).  The reported witness is
+    deterministic: lexicographically least colouring, then shortest
+    unbalanced basis cycle.
     """
     require_ratio_open(params)
     if not bipartition(g).valid:
@@ -426,15 +388,16 @@ def is_mixing_wind(g: Graph, params: CircularParams,
         f0 = next(enumerate_colourings(g, params, budget=budget), None)
         if f0 is None:
             return MixingVerdict(status="vacuous", state_count=0)
-        witness = _make_witness(f0, odd.vertices)
-        return MixingVerdict(status="not-mixing", witness=witness)
-    if _short_basis(g, params) is not None:
+        return MixingVerdict(status="not-mixing", witness=_make_witness(f0, odd))
+    basis = minimum_cycle_basis(g)  # shortest first
+    if not basis or basis[-1][0] < minimal_non_mixing_even_cycle(params):
         return MixingVerdict(status="mixing")
-    return _wind_scan(g, params, budget)
+    return _wind_scan(g, params, edge_set_cycles(g, basis), budget)
 
 
-def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
-    """The balance scan of a bipartite graph.
+def _wind_scan(g: Graph, params: CircularParams, cycles: list,
+               budget: int) -> MixingVerdict:
+    """The balance scan of a bipartite graph over its spanning ``cycles``.
 
     Only colourings giving the least vertex of each component colour 0 are
     scanned, by ``kernels.first_unbalanced``, which stops at the first
@@ -445,7 +408,6 @@ def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
     ``budget`` caps those pinned states.
     """
     roots = [c[0] for c in connected_components(g)]
-    cycles = fundamental_cycle_basis(g).fundamental
     domain = np.ones((g.n, params.p), dtype=bool)
     domain[roots, 1:] = False
     row, found = kernels.first_unbalanced(
@@ -453,8 +415,7 @@ def _wind_scan(g: Graph, params: CircularParams, budget: int) -> MixingVerdict:
     if row is not None:
         f = _row_colouring(row, g, params)
         shortest = min((cycles[j] for j in found), key=lambda c: (len(c), c.vertices))
-        return MixingVerdict(status="not-mixing",
-                             witness=_make_witness(f, shortest.vertices))
+        return MixingVerdict(status="not-mixing", witness=_make_witness(f, shortest))
     return MixingVerdict(status="mixing", state_count=found * params.p ** len(roots))
 
 
@@ -462,11 +423,13 @@ def mixing_basis(g: Graph, params: CircularParams) -> Optional[MixingBasis]:
     """The certificate behind a MIXING answer of ``is_mixing_wind`` that
     scanned nothing; None for a graph it scans or finds not bipartite."""
     require_ratio_open(params)
-    basis = _short_basis(g, params) if bipartition(g).valid else None
-    if basis is None:
+    if not bipartition(g).valid:
+        return None
+    basis = minimum_cycle_basis(g)
+    if basis and basis[-1][0] >= minimal_non_mixing_even_cycle(params):
         return None
     return MixingBasis(graph=g, p=params.p, q=params.q,
-                       cycles=tuple(edge_set_cycles(g, [edges for _, edges in basis])))
+                       cycles=tuple(edge_set_cycles(g, basis)))
 
 
 def verify_mixing_basis(b: MixingBasis):

@@ -18,7 +18,8 @@ import numpy as np
 from circmix.circular import CircularParams, Colouring
 from circmix.generators import grid_graph
 from circmix.graphs import (Cycle, Graph, bfs_forest, build_graph, connected_components,
-                            is_connected, tree_path)
+                            edge_set_cycles, is_connected, minimum_cycle_basis,
+                            tree_path)
 from circmix.kernels import BudgetExceededError
 from circmix.planar import RotationSystem, faces
 
@@ -602,28 +603,35 @@ def python_col_graph_dot(g: Graph, params: CircularParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def python_chordless_shrink(f: Colouring, vertices) -> tuple:
-    """Reference shrink of a wrapped cycle: take the first chord of
-    ``sorted(g.edges)``, split there and keep the shorter wrapped part (the
-    part from the chord's smaller end on a tie), until no chord is left.
-    Weights use the colours directly."""
-    g, p = f.host, f.params.p
-    current = tuple(vertices)
-    while True:
-        pos = {v: i for i, v in enumerate(current)}
-        k = len(current)
-        chord = next(((pos[a], pos[b]) for a, b in sorted(g.edges)
-                      if a in pos and b in pos
-                      and (pos[a] - pos[b]) % k not in (1, k - 1)), None)
-        if chord is None:
-            return current
-        s, t = chord
-        parts = [tuple(current[(s + j) % k] for j in range((t - s) % k + 1)),
-                 tuple(current[(t + j) % k] for j in range((s - t) % k + 1))]
-        wrapped = [c for c in parts
-                   if 2 * sum((f.colours[b] - f.colours[a]) % p
-                              for a, b in zip(c, c[1:] + c[:1])) != len(c) * p]
-        current = sorted(wrapped, key=len)[0]
+def basis_cycles(g: Graph) -> list:
+    """The cycles of ``graphs.minimum_cycle_basis(g)``, shortest first."""
+    return edge_set_cycles(g, minimum_cycle_basis(g))
+
+
+def chords(g: Graph, cycle) -> list:
+    """The edges of g joining two vertices of ``cycle`` that are not
+    consecutive on it."""
+    vs, k = cycle.vertices, len(cycle)
+    return [(vs[i], vs[j]) for i in range(k) for j in range(i + 2, k)
+            if j - i < k - 1 and g.has_edge(vs[i], vs[j])]
+
+
+def count_calls(monkeypatch, names, *modules) -> dict:
+    """Count the calls of each function in ``names`` through every module of
+    ``modules`` that binds it; the returned counts fill in as calls run."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
 
 
 def colouring(g: Graph, params: CircularParams, colours) -> Colouring:

@@ -625,8 +625,8 @@ class TestGoldenOutput:
                       "target: 8\nfold 0 2\nfold 0 5\nfold 1 2\nfold 1 3\n"
                       "fold 1 3\nfold 1 3\nfinal:\n0 1\n0 3\n1 2\n2 7\n3 4\n"
                       "4 5\n5 6\n6 7\nend\n")
-    # C8 plus the chord 2-7 at (3,1): the unbalanced basis cycle 0..7 shrinks
-    # across the chord to its wrapped part 2..7
+    # C8 plus the chord 2-7 at (3,1): the minimum basis holds the 4-cycle
+    # 0 1 2 7 and the 6-cycle 2..7, and only the 6-cycle can be unbalanced
     C8_CHORD_WITNESS = ("witness\ngraph: c8chord.txt\np: 3\nq: 1\ncolouring:\n"
                         "0=0\n1=1\n2=0\n3=1\n4=2\n5=0\n6=1\n7=2\nend\n"
                         "cycle: 2 3 4 5 6 7\nweight: 6\nrequired: 9\n")

@@ -134,3 +134,36 @@ def test_edge_errors_name_their_line(tmp_path, capsys, text, message):
     (tmp_path / "g.txt").write_text(text)
     assert main(["mix", str(tmp_path / "g.txt"), "-p", "5", "-q", "2"]) == 4
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SQUARE = "edge 0 1\nedge 1 2\nedge 2 3\nedge 0 3\n"
+SQUARE_ROTATIONS = "rotation 0: 1 3\nrotation 1: 0 2\nrotation 2: 1 3\nrotation 3: 0 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n -2\n", "line 1: cannot parse 'n -2'"),
+    ("edge 0 1\n# a count below zero is named, not a later edge\nn -2\n",
+     "line 3: cannot parse 'n -2'"),
+    # a second count is refused, not read over the first
+    ("n 4\nedge 0 1\nn 2\nedge 2 3\n", "line 3: cannot parse 'n 2'"),
+    ("n 4\n" + SQUARE + SQUARE_ROTATIONS + "rotation 9:\n",
+     "line 10: rotation of vertex 9 outside 0..3"),
+    # n may follow the rotation lines it bounds
+    (SQUARE_ROTATIONS + "rotation -1: 2\nn 4\n" + SQUARE,
+     "line 5: rotation of vertex -1 outside 0..3"),
+    ("n 4\n" + SQUARE + "rotation 0: 3 1\n" + SQUARE_ROTATIONS,
+     "line 7: cannot parse 'rotation 0: 1 3'"),
+])
+def test_count_and_rotation_errors_name_their_line(tmp_path, capsys, text, message):
+    with pytest.raises(files.ParseError, match=re.escape(message)):
+        files.parse_graph_document(text)
+    (tmp_path / "g.txt").write_text(text)
+    assert main(["mix", str(tmp_path / "g.txt"), "-p", "7", "-q", "2",
+                 "--method", "planar"]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_square_with_rotations_parses():
+    doc = files.parse_graph_document(SQUARE_ROTATIONS + SQUARE + "n 4\n")
+    assert doc.graph == support.cycle(4)
+    assert doc.rotation.rotation == ((1, 3), (0, 2), (1, 3), (0, 2))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import support
-from circmix import files, fold
+from circmix import files, fold, graphs
 from circmix.circular import CircularParams
 from circmix.cli import main
 from circmix.fold import (ThresholdResult, circular_mixing_threshold, elementary_fold,
@@ -14,9 +14,8 @@ from circmix.fold import (ThresholdResult, circular_mixing_threshold, elementary
                           retract_to_path, retract_to_shortest_cycle,
                           _fold_by_image, _is_cycle_graph, _winding_image)
 from circmix.generators import pinched_octagon, theta_graph
-from circmix.graphs import (bipartition, build_graph, distance, is_connected,
-                            minimum_cycle_basis,
-                            shortest_cycle)
+from circmix.graphs import (bipartition, build_graph, distance, fundamental_cycle_basis,
+                            is_connected, minimum_cycle_basis, shortest_cycle)
 from circmix.kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 from circmix.reconfig import is_mixing_oracle, is_mixing_wind
 
@@ -208,9 +207,30 @@ class TestFoldsToCycle:
         # run the winding construction on an input the fast path would take
         g = support.cycle(10)
         fast = folds_to_cycle(g, 6)
-        slow = _fold_by_image(g, _winding_image(g, 6, bipartition(g), DEFAULT_STATE_BUDGET), 6)
+        image = _winding_image(g, 6, bipartition(g), support.basis_cycles(g), DEFAULT_STATE_BUDGET)
+        slow = _fold_by_image(g, image, 6)
         assert fast is not None
         assert _is_cycle_graph(fast.final, 6) and _is_cycle_graph(slow.final, 6)
+
+    def test_winding_image_reads_any_spanning_cycles(self):
+        # winding is linear over the cycle space, so the least winding map
+        # is the same over the basis cycles as over the fundamental cycles
+        cases = [(g, length) for n in range(3, 7)
+                 for g in support.connected_graphs_upto_iso(n)
+                 for length in range(3, n + 1)]
+        rng = random.Random(24)
+        for _ in range(40):
+            g = support.random_sparse_bipartite(rng, max_n=12)
+            cases += [(g, length) for length in (6, 8, 10)]
+        wound = 0
+        for g, length in cases:
+            bip = bipartition(g)
+            rows = [_winding_image(g, length, bip, cycles, DEFAULT_STATE_BUDGET)
+                    for cycles in (support.basis_cycles(g),
+                                   fundamental_cycle_basis(g).fundamental)]
+            assert rows[0] == rows[1], (g.edges, length)
+            wound += rows[0] is not None
+        assert wound >= 100, wound
 
     def test_long_cycle_trace_replays(self):
         g = support.cycle(400)
@@ -310,33 +330,28 @@ class TestOddMixing:
 
     def test_checks_each_graph_once(self, monkeypatch):
         # one bipartition for the input; its components and their basis are
-        # not recomputed inside the fold search
-        counts = {}
-
-        def counted(name):
-            real = getattr(fold, name)
-
-            def call(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return real(*args, **kwargs)
-            return call
-
-        for name in ("bipartition", "connected_components", "is_connected",
-                     "longest_basis_cycle"):
-            monkeypatch.setattr(fold, name, counted(name))
+        # not recomputed inside the fold search, and the scan reads the
+        # cycles of that one basis
+        counts = support.count_calls(
+            monkeypatch, ("bipartition", "connected_components", "is_connected"), fold)
+        bases = support.count_calls(
+            monkeypatch, ("minimum_cycle_basis", "fundamental_cycle_basis",
+                          "edge_set_cycles"), fold, graphs)
         hexagon_and_edge = build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7)])
         theta = theta_graph(2, 2, 4).graph  # girth 4 < 6: the scan answers
-        # (graph, mixes, basis calls, folds built): only a folded graph's
-        # final cycle has its connectivity tested
-        for g, mixing, basis_calls, folded in ((support.cycle(10), False, 0, 1),
-                                               (hexagon_and_edge, False, 0, 0),
-                                               (theta, False, 1, 1),
-                                               (support.grid(3, 3), True, 1, 0)):
-            counts.clear()
+        # (graph, mixes, basis calls, scans, folds built): only a folded
+        # graph's final cycle has its connectivity tested, and only a scan
+        # decodes the basis cycles
+        for g, mixing, basis_calls, scans, folded in (
+                (support.cycle(10), False, 0, 0, 1), (hexagon_and_edge, False, 0, 0, 0),
+                (theta, False, 1, 1, 1), (support.grid(3, 3), True, 1, 0, 0)):
+            for tally in (counts, bases):
+                tally.update(dict.fromkeys(tally, 0))
             assert odd_mixing_by_fold(g, 1)[0] is mixing
-            assert counts.get("bipartition") == 1 and counts.get("connected_components") == 1
-            assert counts.get("longest_basis_cycle", 0) == basis_calls
-            assert counts.get("is_connected", 0) == folded
+            assert counts == {"bipartition": 1, "connected_components": 1,
+                              "is_connected": folded}
+            assert bases == {"minimum_cycle_basis": basis_calls,
+                             "fundamental_cycle_basis": 0, "edge_set_cycles": scans}
 
 
 class TestThreshold:
@@ -368,34 +383,37 @@ class TestThreshold:
                 assert circular_mixing_threshold(g).k == k, g.edges
 
     def test_one_basis_and_scans_only_past_the_girth(self, monkeypatch):
-        bases, scanned = [], []
+        counts = support.count_calls(
+            monkeypatch, ("minimum_cycle_basis", "fundamental_cycle_basis",
+                          "edge_set_cycles"), fold, graphs)
+        scanned = []
         winding_image = fold._winding_image
 
-        def counted_basis(g):
-            bases.append(g)
-            return minimum_cycle_basis(g)
-
-        def counted_image(g, length, bip, budget):
+        def counted_image(g, length, bip, cycles, budget):
             scanned.append(length)
-            return winding_image(g, length, bip, budget)
+            assert cycles == support.basis_cycles(g)
+            return winding_image(g, length, bip, cycles, budget)
 
-        monkeypatch.setattr(fold, "minimum_cycle_basis", counted_basis)
         monkeypatch.setattr(fold, "_winding_image", counted_image)
         # basis cycles 6 and 16: C_6 folds at the girth, C_10 and C_14 scan
         res = circular_mixing_threshold(theta_graph(3, 3, 13).graph)
         assert res == ThresholdResult(k=4, longest_basis_cycle=16, tested=(1, 2, 3))
-        assert len(bases) == 1 and scanned == [10, 14]
+        assert scanned == [10, 14]
+        assert counts == {"minimum_cycle_basis": 1, "fundamental_cycle_basis": 0,
+                          "edge_set_cycles": 1}
         rng = random.Random(22)
         for _ in range(60):
             g = support.random_sparse_bipartite(rng)
-            bases.clear()
-            scanned.clear()
-            res = circular_mixing_threshold(g)
             basis = minimum_cycle_basis(g)
             girth = basis[0][0] if basis else 0
-            assert len(bases) == 1
-            # a graph on at most L vertices folds onto C_L only if it is C_L
+            counts.update(dict.fromkeys(counts, 0))
+            scanned.clear()
+            res = circular_mixing_threshold(g)
+            # a graph on at most L vertices folds onto C_L only if it is C_L;
+            # the basis cycles are decoded once, and only for a scan
             assert scanned == [4 * k + 2 for k in res.tested if girth < 4 * k + 2 < g.n]
+            assert counts == {"minimum_cycle_basis": 1, "fundamental_cycle_basis": 0,
+                              "edge_set_cycles": int(bool(scanned))}
 
     def test_long_cycle(self):
         # every k up to 100 folds at the girth, with no scan and no trace

@@ -15,8 +15,8 @@ from circmix.graphs import (Bipartition, Cycle, _cycle_roots, bipartition, block
                             connected_components, cycle_rank,
                             cycle_space_dimension, distance, edge_set_cycles,
                             enumerate_cycles, fundamental_cycle_basis,
-                            induced_subgraph, is_cycle_of, longest_basis_cycle,
-                            minimum_cycle_basis, shortest_cycle)
+                            induced_subgraph, is_cycle_of, minimum_cycle_basis,
+                            shortest_cycle)
 from circmix.kernels import BudgetExceededError
 
 
@@ -232,11 +232,12 @@ class TestCycleHelpers:
         # two squares sharing the edge 0-3: the outer 6-cycle is the sum of
         # the squares, so a minimum basis holds only 4-cycles
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 0)])
-        assert longest_basis_cycle(g) == 4 == support.brute_longest_basis_cycle(g)
-        assert longest_basis_cycle(support.path(4)) == 0
-        assert longest_basis_cycle(support.cycle(9)) == 9
+        assert [k for k, _ in minimum_cycle_basis(g)] == [4, 4]
+        assert support.brute_longest_basis_cycle(g) == 4
+        assert minimum_cycle_basis(support.path(4)) == []
+        assert minimum_cycle_basis(support.cycle(9))[-1][0] == 9
         # no vertex cap: a 30-vertex grid's basis is its 20 unit squares
-        assert longest_basis_cycle(support.grid(5, 6)) == 4
+        assert [k for k, _ in minimum_cycle_basis(support.grid(5, 6))] == [4] * 20
 
     def test_searches_match_brute_force(self):
         rng = random.Random(7)
@@ -259,9 +260,9 @@ class TestCycleHelpers:
                 assert is_cycle_of(g, odd.vertices)
             else:
                 assert odd is None
-            assert longest_basis_cycle(g) == support.brute_longest_basis_cycle(g)
             basis = minimum_cycle_basis(g)
-            cycles = edge_set_cycles(g, [edges for _, edges in basis])
+            assert (basis[-1][0] if basis else 0) == support.brute_longest_basis_cycle(g)
+            cycles = edge_set_cycles(g, basis)
             assert [len(c) for c in cycles] == sorted(k for k, _ in basis)
             assert all(is_cycle_of(g, c.vertices) for c in cycles)
             assert len(cycles) == cycle_rank(g, cycles) == cycle_space_dimension(g)
@@ -331,6 +332,25 @@ def test_cycle_searches_match_the_all_roots_references(g):
 
 
 @ROOTS_SETTINGS
+@given(cycle_search_graphs(), st.randoms(use_true_random=False))
+def test_minimum_basis_cycles_are_chordless(g, rng):
+    # a chord splits a cycle into two shorter ones, one of which could take
+    # its place in the basis; chords across the longest basis cycle, and
+    # between random vertices, give the searches chorded cycles to close
+    cycles = support.basis_cycles(g)
+    extra = []
+    if cycles:
+        vs = cycles[-1].vertices
+        extra += [tuple(rng.sample(vs, 2)) for _ in range(rng.randint(0, 3))]
+    if g.n >= 2:
+        extra += [tuple(rng.sample(range(g.n), 2)) for _ in range(rng.randint(0, 3))]
+    g = build_graph(g.n, sorted(g.edges) + extra)
+    cycles = support.basis_cycles(g)
+    assert len(cycles) == cycle_rank(g, cycles) == cycle_space_dimension(g)
+    assert all(support.chords(g, c) == [] for c in cycles)
+
+
+@ROOTS_SETTINGS
 @given(cycle_search_graphs())
 def test_cycle_roots_meet_every_cycle(g):
     roots = _cycle_roots(g)
@@ -347,11 +367,11 @@ def test_equal_theta_paths_keep_a_minimum_basis():
     g = build_graph(10, [(0, 4), (0, 6), (1, 5), (1, 9), (2, 3), (2, 4), (3, 5), (4, 8),
                          (4, 9), (5, 6), (5, 7), (7, 8)])
     basis, everywhere = minimum_cycle_basis(g), support.reference_minimum_cycle_basis(g)
-    assert [c.vertices for c in edge_set_cycles(g, [e for _, e in basis])] == \
+    assert [c.vertices for c in edge_set_cycles(g, basis)] == \
         [(1, 5, 3, 2, 4, 9), (0, 4, 2, 3, 5, 6), (1, 5, 7, 8, 4, 9)]
-    assert [c.vertices for c in edge_set_cycles(g, [e for _, e in everywhere])] == \
+    assert [c.vertices for c in edge_set_cycles(g, everywhere)] == \
         [(1, 5, 3, 2, 4, 9), (0, 4, 2, 3, 5, 6), (2, 3, 5, 7, 8, 4)]
-    assert cycle_rank(g, edge_set_cycles(g, [e for _, e in basis])) == 3
+    assert cycle_rank(g, edge_set_cycles(g, basis)) == 3
 
 
 @pytest.mark.parametrize("g", [support.cycle(402), theta_graph(100, 150, 200).graph],

@@ -7,7 +7,7 @@ from circmix.circular import CircularParams
 from circmix.generators import (c4_pinch_graph, cube_graph, cycle_graph,
                                 grid_graph, mirror_rotation, pinched_octagon,
                                 theta_graph)
-from circmix.graphs import Cycle, build_graph, longest_basis_cycle
+from circmix.graphs import Cycle, build_graph, minimum_cycle_basis
 from circmix.planar import (EmbeddingError, RotationSystem, face_criterion, faces,
                             minimal_non_mixing_even_cycle, planar_mixing_decider,
                             region_split, separating_cycles)
@@ -270,7 +270,7 @@ class TestDecider:
 
 def test_verdict_is_the_basis_bound():
     """At 3 <= p/q < 4 the decider says MIXING exactly when a minimum cycle
-    basis has only cycles shorter than 6 (``longest_basis_cycle``).
+    basis has only cycles shorter than 6 (``minimum_cycle_basis``).
 
     * In a 2-connected plane graph the face boundaries span the cycle
       space, and all but one of them form a basis, so a piece with at most
@@ -284,9 +284,10 @@ def test_verdict_is_the_basis_bound():
     """
     for seed in range(60):
         g, rot = support.random_plane_bipartite(random.Random(seed))
+        basis = minimum_cycle_basis(g)
         for params in (P72, P31, CircularParams(10, 3)):
             verdict, _ = planar_mixing_decider(g, rot, params)
-            bound = longest_basis_cycle(g) < minimal_non_mixing_even_cycle(params)
+            bound = not basis or basis[-1][0] < minimal_non_mixing_even_cycle(params)
             assert verdict.status == ("mixing" if bound else "not-mixing"), (seed, params)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from circmix import kernels, reconfig
+from circmix import graphs, kernels, reconfig
 from circmix.circular import (CircularParams, Colouring, edge_weight,
                               enumerate_colourings, shift, validate_colouring)
 from circmix.graphs import Cycle, build_graph, enumerate_cycles, fundamental_cycle_basis
@@ -273,6 +273,17 @@ class TestFixed:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "8c89072961a700713d045bed609d2f45c90d2dd3fdada322531e2ee31235e578"
 
+    def test_only_fixed_vertices_builds_walks(self, monkeypatch):
+        # a signature keeps the fixed set but not its evidence walks
+        counts = support.count_calls(monkeypatch, ("_core_walk",), reconfig)
+        g, colours = support.joined_odd_cycles(random.Random(0), 3, 1)
+        f = support.colouring(g, P31, colours)
+        assert reachability_signature(f)[0] == fixed_vertices(f).fixed
+        walks = counts["_core_walk"]
+        assert walks > 0
+        assert is_reachable_characterized(f, f)
+        assert counts["_core_walk"] == walks
+
     def test_tight_path_costs_no_bfs_per_vertex(self, monkeypatch):
         # a directed tight path with no tight cycle peels away whole, so
         # core detection runs no BFS from its vertices
@@ -360,36 +371,8 @@ class TestWindDecider:
                             (0, 6), (6, 7), (7, 3)])
         v = is_mixing_wind(g, P31)
         assert v.status == "not-mixing"
-        w = v.witness
-        pos = set(w.cycle.vertices)
-        chords = [e for e in g.edges
-                  if e[0] in pos and e[1] in pos
-                  and e not in {tuple(sorted(d)) for d in w.cycle.directed_edges()}]
-        assert chords == []
-        assert verify_witness(w)[0]
-
-    def test_shrink_matches_python_reference(self):
-        # every wrapped cycle, both orientations, under sampled colourings of
-        # random graphs with chords: the same chord and the same kept part
-        rng = random.Random(17)
-        shrunk = 0
-        for _ in range(150):
-            n = rng.randint(4, 8)
-            g = build_graph(n, [e for e in itertools.combinations(range(n), 2)
-                                if rng.random() < 0.45])
-            params = rng.choice((P31, P52, P72, P73, P83))
-            cycles = list(enumerate_cycles(g, n))
-            for f in itertools.islice(enumerate_colourings(g, params, budget=10_000),
-                                      0, 600, 150):
-                for c in cycles:
-                    for vs in (c.vertices, c.vertices[::-1]):
-                        if 2 * sum((f.colours[b] - f.colours[a]) % params.p
-                                   for a, b in zip(vs, vs[1:] + vs[:1])) == len(vs) * params.p:
-                            continue
-                        expected = support.python_chordless_shrink(f, vs)
-                        assert reconfig._chordless_shrink(f, vs) == expected
-                        shrunk += len(expected) < len(vs)
-        assert shrunk > 300
+        assert support.chords(g, v.witness.cycle) == []
+        assert verify_witness(v.witness)[0]
 
     def test_agrees_with_oracle_small(self):
         for params in (P31, P52, P72, P73):
@@ -441,30 +424,37 @@ def test_every_wind_witness_is_chordless_and_verifies(rng, chorded, params):
     g = chorded_cycle(rng) if chorded else random_bipartite(rng)
     w = is_mixing_wind(g, params).witness
     if w is not None:
-        vs, k = w.cycle.vertices, len(w.cycle)
-        assert not [(vs[i], vs[j]) for i in range(k) for j in range(i + 2, k)
-                    if j - i < k - 1 and g.has_edge(vs[i], vs[j])]
+        assert support.chords(g, w.cycle) == []
         assert verify_witness(w) == (True, [])
 
 
 def reference_wind_scan(g, params, limit):
     """Walk every colouring in enumerate_colourings order, unpinned, to the
-    first one with an unbalanced fundamental cycle.
+    first one that unbalances a cycle of the minimum basis.  Balance is
+    linear over the cycle space, so each colouring on the way unbalances a
+    fundamental cycle exactly when it unbalances a basis cycle: a scan of
+    the fundamental cycles stops at the same colouring.
 
     Returns ("not-mixing", colouring, shortest unbalanced basis cycle),
     ("mixing", None, None), or ("unsettled", the first colouring left
     unchecked, None) once ``limit`` colourings were all balanced.
     """
-    basis = fundamental_cycle_basis(g).fundamental
+    basis = support.basis_cycles(g)
     if not basis:
         return "mixing", None, None
+    fundamental = fundamental_cycle_basis(g).fundamental
     p = params.p
+
+    def unbalanced(f, cycles):
+        return [c for c in cycles
+                if 2 * sum((f.colours[b] - f.colours[a]) % p
+                           for a, b in c.directed_edges()) != len(c) * p]
+
     for k, f in enumerate(enumerate_colourings(g, params)):
         if k == limit:
             return "unsettled", f, None
-        bad = [c for c in basis
-               if 2 * sum((f.colours[b] - f.colours[a]) % p
-                          for a, b in c.directed_edges()) != len(c) * p]
+        bad = unbalanced(f, basis)
+        assert bool(bad) == bool(unbalanced(f, fundamental)), (g.edges, f.colours)
         if bad:
             return "not-mixing", f, min(bad, key=lambda c: (len(c), c.vertices))
     return "mixing", None, None
@@ -491,9 +481,35 @@ class TestPinnedWindScan:
                 assert v.status == status, (g.edges, params)
                 if status == "not-mixing":
                     wrapped += 1
-                    assert v.witness == _make_witness(f, cycle.vertices)
+                    assert v.witness == _make_witness(f, cycle)
                     assert v.state_count is None
         assert settled >= 450 and wrapped >= 50, (settled, wrapped)
+
+    def test_one_basis_and_the_scan_reads_its_cycles(self, monkeypatch):
+        counts = support.count_calls(
+            monkeypatch, ("minimum_cycle_basis", "fundamental_cycle_basis"),
+            reconfig, graphs)
+        scans = []
+        first_unbalanced = kernels.first_unbalanced
+
+        def recorded(g, compat, domain, cycles, budget):
+            scans.append(list(cycles))
+            return first_unbalanced(g, compat, domain, cycles, budget)
+
+        monkeypatch.setattr(kernels, "first_unbalanced", recorded)
+        rng = random.Random(23)
+        scanned = 0
+        for i in range(120):
+            g = chorded_cycle(rng) if i % 2 else random_bipartite(rng)
+            for params in (P52, P72, P83):
+                counts.update(dict.fromkeys(counts, 0))
+                scans.clear()
+                is_mixing_wind(g, params)
+                assert counts == {"minimum_cycle_basis": 1, "fundamental_cycle_basis": 0}
+                if scans:
+                    scanned += 1
+                    assert scans == [support.basis_cycles(g)]
+        assert scanned >= 100, scanned
 
     def test_state_count_matches_oracle(self):
         # The cycle-basis shortcut answers every one of these without a scan,
@@ -509,7 +525,8 @@ class TestPinnedWindScan:
         ]
         for g, params in cases:
             assert is_mixing_wind(g, params) == MixingVerdict(status="mixing")
-            v = reconfig._wind_scan(g, params, kernels.DEFAULT_STATE_BUDGET)
+            cycles = support.basis_cycles(g)
+            v = reconfig._wind_scan(g, params, cycles, kernels.DEFAULT_STATE_BUDGET)
             assert v.status == "mixing"
             assert v.state_count == is_mixing_oracle(g, params).state_count
 
