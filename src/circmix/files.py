@@ -10,6 +10,7 @@ it, so a malformed line is always a ``ParseError`` that names its line.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +20,7 @@ from .circular import CircularParams, Colouring
 from .fold import FoldTrace, _is_cycle_graph, replay_trace
 from .graphs import Cycle, Graph, build_graph, induced_subgraph
 from .kernels import np
-from .planar import RotationSystem
+from .planar import RotationSystem, _check_ring
 from .reconfig import (MixingBasis, NonMixingWitness, verify_mixing_basis,
                        verify_witness)
 
@@ -48,8 +49,8 @@ def _read(text: str, handle) -> str:
     """The one loop over content lines (``_content_lines``); returns the
     first of them, or "" when there is none.
 
-    ``handle(line)`` parses one line and returns the handler for the lines
-    after it, or None to keep itself.  A ``ParseError`` it raises is a
+    ``handle(lineno, line)`` parses one line and returns the handler for the
+    lines after it, or None to keep itself.  A ``ParseError`` it raises is a
     whole-file message and passes through; a ``ValueError``, ``IndexError``
     or ``ZeroDivisionError`` is the line's fault and becomes
     ``ParseError("line N: cannot parse ...")``.
@@ -58,7 +59,7 @@ def _read(text: str, handle) -> str:
     for lineno, line in _content_lines(text):
         first = first or line
         try:
-            handle = handle(line) or handle
+            handle = handle(lineno, line) or handle
         except ParseError:
             raise
         except (ValueError, IndexError, ZeroDivisionError) as exc:
@@ -68,7 +69,7 @@ def _read(text: str, handle) -> str:
 
 def _read_headed(text: str, header: str, handle) -> None:
     """``_read`` for a file whose first content line must be ``header``."""
-    def first(line):
+    def first(_, line):
         if line != header:
             raise ParseError(f"not a {header} file")
         return handle
@@ -79,7 +80,7 @@ def _read_headed(text: str, header: str, handle) -> None:
 def _colours(into: dict, back=None):
     """Handler reading ``v=c`` entries into ``into``; with ``back``, a line
     ``end`` closes the block and hands the next line to ``back``."""
-    def entries(line):
+    def entries(_, line):
         if back is not None and line == "end":
             return back
         for tok in line.split():
@@ -88,29 +89,39 @@ def _colours(into: dict, back=None):
     return entries
 
 
+@contextmanager
+def _at_line(lineno: int):
+    """Name line ``lineno`` in a ``ValueError`` raised inside the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def _ints(value: str) -> tuple:
     return tuple(int(x) for x in value.split())
 
 
 def parse_graph_document(text: str) -> GraphDocument:
     n = outer = None
-    edges, rotations, colourings = [], {}, {}
+    edges, rotations, colourings = [], {}, {}  # edge and rotation lines keep their numbers
 
-    def directive(line):
+    def directive(lineno, line):
         nonlocal n, outer
         if line.startswith("n "):
-            if n is not None or int(line.split()[1]) < 0:
+            _, count = line.split()
+            if n is not None or int(count) < 0:
                 raise ValueError("a second or negative vertex count")
-            n = int(line.split()[1])
+            n = int(count)
         elif line.startswith("edge "):
             _, u, v = line.split()
-            edges.append((int(u), int(v)))
+            edges.append((lineno, (int(u), int(v))))
         elif line.startswith("rotation "):
-            head, rest = line.split(":", 1)
-            v = int(head.split()[1])
-            if v in rotations:
+            head, ring = line.split(":", 1)
+            _, v = head.split()
+            if int(v) in rotations:
                 raise ValueError("a second rotation of one vertex")
-            rotations[v] = _ints(rest)
+            rotations[int(v)] = (lineno, _ints(ring))
         elif line.startswith("outer:"):
             outer = int(line.split(":", 1)[1])
         elif line.startswith("colouring "):
@@ -123,32 +134,28 @@ def parse_graph_document(text: str) -> GraphDocument:
     _read(text, directive)
     if n is None:
         raise ParseError("graph document missing an 'n <count>' line")
+    # n may follow the edges and rotations, and the rings need every edge,
+    # so a line these refuse is named only now
     try:
-        if any(not 0 <= v < n for v in rotations):
-            raise ValueError("a rotation of a vertex outside 0..n-1")
-        graph = build_graph(n, edges)
+        graph = build_graph(n, [e for _, e in edges])
     except ValueError:
-        # n may follow the edges and rotations, so a refused one is named only
-        # now; every content line starting "edge " or "rotation " was read as
-        # that directive
-        for lineno, line in _content_lines(text):
-            try:
-                if line.startswith("edge "):
-                    build_graph(n, [_ints(line[5:])])
-                elif line.startswith("rotation "):
-                    v = int(line.split(":")[0].split()[1])
-                    if not 0 <= v < n:
-                        raise ValueError(f"rotation of vertex {v} outside 0..{n - 1}")
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+        for lineno, e in edges:
+            with _at_line(lineno):
+                build_graph(n, [e])
         raise
+    for v, (lineno, ring) in rotations.items():
+        with _at_line(lineno):
+            if not 0 <= v < n:
+                raise ValueError(f"rotation of vertex {v} outside 0..{n - 1}")
+            _check_ring(v, ring, graph.adjacency[v])
     rotation = None
     if rotations:
         missing = [v for v in range(n) if graph.adjacency[v] and v not in rotations]
         if missing:
             raise ParseError(f"rotation lines missing for vertices {missing}")
         rotation = RotationSystem(
-            rotation=tuple(rotations.get(v, ()) for v in range(n)), outer=outer)
+            rotation=tuple(rotations[v][1] if v in rotations else () for v in range(n)),
+            outer=outer)
     done = {}
     for name, mapping in colourings.items():
         if sorted(mapping) != list(range(n)):
@@ -228,7 +235,7 @@ _WITNESS_FIELDS = {"p": int, "q": int, "weight": int, "required": Fraction,
 def parse_witness(text: str, base_dir: str = ".") -> NonMixingWitness:
     fields, colour_map = {}, {}
 
-    def entry(line):
+    def entry(_, line):
         if line == "colouring:":
             return _colours(colour_map, back=entry)
         key, value = (part.strip() for part in line.split(":", 1))
@@ -261,7 +268,7 @@ _BASIS_FIELDS = {"p": int, "q": int}
 def parse_mixing_basis(text: str, base_dir: str = ".") -> MixingBasis:
     fields, cycles = {}, []
 
-    def entry(line):
+    def entry(_, line):
         key, value = (part.strip() for part in line.split(":", 1))
         if key == "cycle":
             cycles.append(Cycle(_ints(value)))
@@ -304,7 +311,7 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
     fields = {"component": None}
     steps, final_edges = [], []
 
-    def entry(line):
+    def entry(_, line):
         key, colon, value = line.partition(":")
         if colon and key in _TRACE_FIELDS:
             fields[key] = _TRACE_FIELDS[key](value)
@@ -316,7 +323,7 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
         else:
             raise ValueError("unrecognized trace line")
 
-    def final(line):
+    def final(_, line):
         if line == "end":
             return entry
         u, v = line.split()
@@ -349,7 +356,7 @@ def verify_certificate(path: str) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
-    header = _read(text, lambda line: None)
+    header = _read(text, lambda _, line: None)
     if header == "fold-trace":
         ok, problems = verify_fold_trace_file(text, base_dir=base)
         return ok, "PASS" if ok else "FAIL: " + "; ".join(problems)

@@ -184,12 +184,22 @@ def _validate_retraction(g: Graph, image_edges, r: RetractionMap) -> None:
             raise AssertionError(f"retraction breaks edge ({u},{v})")
 
 
+def _zigzag(adjacency, x: int, y: int) -> tuple:
+    """The BFS path x..y over ``adjacency`` and each vertex's BFS level from
+    x reflected back and forth past the path's ends, its position on that
+    path under the zigzag map."""
+    parent, depth, _ = bfs_forest(adjacency, (x,))
+    path = tree_path(parent, y)[::-1]
+    period = 2 * (len(path) - 1) or 1
+    return path, [min(d % period, -d % period) for d in depth]
+
+
 def retract_to_path(g: Graph, x: int, y: int) -> RetractionMap:
     """Retract a connected bipartite graph onto a shortest x-y path.
 
-    BFS levels from x, reflected back and forth past the ends of the path;
-    bipartiteness keeps adjacent vertices on adjacent levels so the zigzag
-    is a homomorphism.
+    BFS levels from x, reflected back and forth past the ends of the path
+    (``_zigzag``); bipartiteness keeps adjacent vertices on adjacent levels
+    so the zigzag is a homomorphism.
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"path ends ({x},{y}) out of range 0..{g.n - 1}")
@@ -197,57 +207,32 @@ def retract_to_path(g: Graph, x: int, y: int) -> RetractionMap:
         raise ValueError("path retraction requires a bipartite graph")
     if not is_connected(g):
         raise ValueError("path retraction requires a connected graph")
-    return _path_retraction(g, x, y)
-
-
-def _path_retraction(g: Graph, x: int, y: int) -> RetractionMap:
-    """``retract_to_path`` on a graph known to be connected and bipartite."""
-    parent, depth, _ = bfs_forest(g.adjacency, (x,))
-    path = tree_path(parent, y)[::-1]
-    k = len(path) - 1
-    if k == 0:
-        if g.m > 0:
-            raise ValueError("cannot retract a graph with edges onto one vertex")
-        return RetractionMap(image=(x,), assignment=tuple(x for _ in range(g.n)))
-    assignment = []
-    for d in depth:
-        r = d % (2 * k)
-        assignment.append(path[r if r <= k else 2 * k - r])
-    r = RetractionMap(image=tuple(path), assignment=tuple(assignment))
-    image_edges = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-    _validate_retraction(g, image_edges, r)
+    path, positions = _zigzag(g.adjacency, x, y)
+    if len(path) == 1 and g.m > 0:
+        raise ValueError("cannot retract a graph with edges onto one vertex")
+    r = RetractionMap(image=tuple(path), assignment=tuple(path[i] for i in positions))
+    _validate_retraction(g, {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}, r)
     return r
 
 
 def retract_to_shortest_cycle(g: Graph):
-    """Retract a connected bipartite graph onto a shortest cycle.
+    """Retract g onto a shortest cycle; g must be connected, and dropping
+    the closing edge of that cycle must leave a bipartite graph (so an odd
+    cycle such as C5 retracts onto itself).
 
-    Drops one cycle edge, retracts onto the remaining path (which is a
-    shortest path between the edge's endpoints precisely because the cycle
-    is shortest), then restores the edge.  Returns (cycle vertices tuple,
+    Retracts g less the closing edge onto a shortest path between its
+    endpoints, which with the edge is itself a shortest cycle (anything
+    shorter would beat the girth).  Returns (cycle vertices tuple,
     RetractionMap).
     """
     cyc = shortest_cycle(g)
     if cyc is None:
         raise ValueError("graph is acyclic")
-    return _retract_to_cycle(g, cyc, retract_to_path)
-
-
-def _retract_to_cycle(g: Graph, cyc, to_path):
-    """``retract_to_shortest_cycle`` onto the shortest cycle ``cyc``, with
-    ``to_path`` retracting g less one cycle edge onto the rest of it."""
     a, b = cyc.vertices[0], cyc.vertices[-1]
-    reduced = build_graph(g.n, [e for e in g.edges if e != (min(a, b), max(a, b))])
-    r = to_path(reduced, a, b)
-    # The BFS path closed by the dropped edge is itself a shortest cycle
-    # (anything shorter would beat the girth), so retract onto that one.
-    cycle_vertices = tuple(r.image)
-    full = RetractionMap(image=cycle_vertices, assignment=r.assignment)
-    image_edges = {(min(u, v), max(u, v))
-                   for u, v in zip(cycle_vertices,
-                                   cycle_vertices[1:] + cycle_vertices[:1])}
-    _validate_retraction(g, image_edges, full)
-    return cycle_vertices, full
+    r = retract_to_path(build_graph(g.n, g.edges - {(min(a, b), max(a, b))}), a, b)
+    _validate_retraction(g, {(min(u, v), max(u, v))
+                             for u, v in zip(r.image, r.image[1:] + r.image[:1])}, r)
+    return r.image, r
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +272,12 @@ def folds_to_cycle(g: Graph, length: int,
     balance), so the scan stops at the first phi.  ``kernels.first_unbalanced``
     runs the scan; ``budget`` caps its partial maps.
 
-    Two answers need no scan.  A bipartite g with girth M >= L retracts
-    onto a shortest cycle, and the position of each vertex's retraction
-    image on that cycle is a phi: g -> C_M that winds it once.  And g
-    cannot fold onto C_L when its minimum cycle basis has only cycles
-    shorter than L:
+    Two answers need no scan.  A bipartite g with girth M >= L drops the
+    closing edge a-b of a shortest cycle, and each vertex's BFS level from
+    a, reflected back and forth past the ends of the BFS path a..b
+    (``_zigzag``), is a phi: g -> C_M that winds the cycle that path closes
+    once.  And g cannot fold onto C_L when its minimum cycle basis has only
+    cycles shorter than L:
 
     * even L >= 6: some coprime (p, q) with 2 < p/q < 4 has threshold
       2*ceil(p/(p-2q)) = L ((2k+1, k) for L = 4k+2, (6k-1, 3k-2) for
@@ -315,8 +301,9 @@ def _fold_trace(g: Graph, length: int, bip: Bipartition,
     """``folds_to_cycle`` on a connected g with bipartition ``bip``.
 
     ``shortest_cycle`` runs the girth test because the girth path folds by
-    its canonical cycle; the minimum cycle basis is built only when the
-    girth is below L, and the scan reads its cycles."""
+    the BFS-level zigzag of g less that cycle's closing edge; the minimum
+    cycle basis is built only when the girth is below L, and the scan reads
+    its cycles."""
     if g.n == g.m == length and all(len(a) == 2 for a in g.adjacency):
         return _TraceBuilder(g).trace()  # connected and 2-regular: g is C_L
     if g.n <= length:
@@ -328,21 +315,16 @@ def _fold_trace(g: Graph, length: int, bip: Bipartition,
     if bip.valid:
         shortest = shortest_cycle(g)
         if shortest is not None and len(shortest) >= length:
-            return _guided_cycle_trace(g, length, shortest)
+            a, b = shortest.vertices[0], shortest.vertices[-1]
+            adjacency = list(g.adjacency)
+            adjacency[a] = tuple(w for w in adjacency[a] if w != b)
+            adjacency[b] = tuple(w for w in adjacency[b] if w != a)
+            return _fold_by_image(g, _zigzag(adjacency, a, b)[1], length)
     basis = minimum_cycle_basis(g)
     if not basis or basis[-1][0] < length:
         return None
     image = _winding_image(g, length, bip, edge_set_cycles(g, basis), budget)
     return None if image is None else _fold_by_image(g, image, length)
-
-
-def _guided_cycle_trace(g: Graph, length: int, shortest) -> FoldTrace:
-    """Fold the connected bipartite g by the positions of its retraction
-    images on its shortest cycle ``shortest``, a homomorphism onto C_girth
-    that winds that cycle once."""
-    cycle, r = _retract_to_cycle(g, shortest, _path_retraction)
-    position = {v: i for i, v in enumerate(cycle)}
-    return _fold_by_image(g, [position[v] for v in r.assignment], length)
 
 
 def _winding_image(g: Graph, length: int, bip: Bipartition, cycles: list,

@@ -63,13 +63,19 @@ class RegionSplit:
         return bool(self.interior) and bool(self.exterior)
 
 
+def _check_ring(v: int, ring, neighbours) -> None:
+    """Refuse a rotation ``ring`` of v that is not a permutation of v's
+    sorted ``neighbours``; graph files run it as they are read."""
+    if sorted(ring) != list(neighbours):
+        raise EmbeddingError(
+            f"rotation of vertex {v} is not a permutation of its neighbours")
+
+
 def _check_rotation_shape(g: Graph, rot: RotationSystem) -> None:
     if len(rot.rotation) != g.n:
         raise EmbeddingError("rotation system must cover every vertex")
     for v in range(g.n):
-        if sorted(rot.rotation[v]) != list(g.adjacency[v]):
-            raise EmbeddingError(
-                f"rotation of vertex {v} is not a permutation of its neighbours")
+        _check_ring(v, rot.rotation[v], g.adjacency[v])
 
 
 def faces(g: Graph, rot: RotationSystem) -> FaceSet:

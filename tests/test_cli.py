@@ -605,7 +605,8 @@ class TestGoldenOutput:
 
     Kernel and graph-search changes must keep every deterministic choice:
     the least unbalanced colouring, the shortest odd cycle, the girth cycle
-    behind a retraction, and the least winding map behind a fold trace.
+    whose closing edge the BFS-level zigzag map drops, and the least winding
+    map behind a fold trace.
     """
 
     C10_WITNESS = ("witness\ngraph: c10.txt\np: 5\nq: 2\ncolouring:\n"

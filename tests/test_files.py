@@ -163,6 +163,27 @@ def test_count_and_rotation_errors_name_their_line(tmp_path, capsys, text, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("method", ["planar", "wind", "fold", "oracle"])
+@pytest.mark.parametrize("text, message", [
+    # a token past the count or the vertex is refused, not dropped
+    ("n 4 7\n" + SQUARE, "line 1: cannot parse 'n 4 7'"),
+    ("n 4\n" + SQUARE + "rotation 0 7: 1 3\n" + SQUARE_ROTATIONS[16:],
+     "line 6: cannot parse 'rotation 0 7: 1 3'"),
+    # a ring is checked against the edges as the file is read
+    ("n 4\n" + SQUARE + "rotation 0: 1 9\n" + SQUARE_ROTATIONS[16:],
+     "line 6: rotation of vertex 0 is not a permutation of its neighbours"),
+    (SQUARE_ROTATIONS[:48] + "rotation 3: 0\nn 4\n" + SQUARE,
+     "line 4: rotation of vertex 3 is not a permutation of its neighbours"),
+])
+def test_every_method_refuses_the_line(tmp_path, capsys, text, message, method):
+    with pytest.raises(files.ParseError, match=re.escape(message)):
+        files.parse_graph_document(text)
+    (tmp_path / "g.txt").write_text(text)
+    assert main(["mix", str(tmp_path / "g.txt"), "-p", "5", "-q", "2",
+                 "--method", method]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_square_with_rotations_parses():
     doc = files.parse_graph_document(SQUARE_ROTATIONS + SQUARE + "n 4\n")
     assert doc.graph == support.cycle(4)

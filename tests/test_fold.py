@@ -8,8 +8,8 @@ import support
 from circmix import files, fold, graphs
 from circmix.circular import CircularParams
 from circmix.cli import main
-from circmix.fold import (ThresholdResult, circular_mixing_threshold, elementary_fold,
-                          folds_to_cycle, is_homomorphism_onto,
+from circmix.fold import (RetractionMap, ThresholdResult, circular_mixing_threshold,
+                          elementary_fold, folds_to_cycle, is_homomorphism_onto,
                           odd_mixing_by_fold, reduce_dominated, replay_trace,
                           retract_to_path, retract_to_shortest_cycle,
                           _fold_by_image, _is_cycle_graph, _winding_image)
@@ -240,7 +240,7 @@ class TestFoldsToCycle:
         assert _is_cycle_graph(replayed.final, 6) and replayed == trace
 
     def test_girth_path_searches_for_the_girth_once(self, monkeypatch):
-        # the retraction reuses the shortest cycle the girth test found
+        # the zigzag map drops a closing edge of the cycle the girth test found
         calls = []
 
         def counted(g, **kwargs):
@@ -465,6 +465,48 @@ class TestRetractions:
             # already validated internally; double-check idempotence here
             for v in range(g.n):
                 assert r.assignment[r.assignment[v]] == r.assignment[v]
+
+    def test_odd_cycle_retracts_to_itself(self):
+        # dropping the closing edge of C5 leaves a bipartite path
+        c5 = (0, 1, 2, 3, 4)
+        assert retract_to_shortest_cycle(support.cycle(5)) == \
+            (c5, RetractionMap(image=c5, assignment=c5))
+        pendant = build_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+        assert retract_to_shortest_cycle(pendant)[1].assignment == (0, 1, 2, 3, 4, 1)
+
+    @pytest.mark.parametrize("g, message", [
+        (build_graph(4, itertools.combinations(range(4), 2)),
+         "path retraction requires a bipartite graph"),
+        (build_graph(8, [(i, (i + 1) % 4) for i in range(4)]
+                     + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]),
+         "path retraction requires a connected graph"),
+        (build_graph(7, [(i, (i + 1) % 6) for i in range(6)]),
+         "path retraction requires a connected graph"),
+        (support.path(5), "graph is acyclic"),
+    ])
+    def test_cycle_retraction_refusals(self, g, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            retract_to_shortest_cycle(g)
+
+    def test_path_onto_one_vertex_needs_no_edges(self):
+        assert retract_to_path(build_graph(1, []), 0, 0).assignment == (0,)
+        with pytest.raises(ValueError, match="with edges onto one vertex"):
+            retract_to_path(support.path(3), 1, 1)
+
+    def test_retractions_match_the_pinned_digest(self):
+        # every shortest-cycle retraction of the connected bipartite graphs
+        # on 6 vertices and path retractions between seeded vertex pairs
+        digest = hashlib.sha256()
+        for g in support.connected_bipartite_upto_iso(6):
+            if g.m >= g.n:
+                digest.update(repr(retract_to_shortest_cycle(g)).encode())
+        rng = random.Random(24)
+        for _ in range(300):
+            g = support.random_sparse_bipartite(rng)
+            r = retract_to_path(g, *rng.sample(range(g.n), 2))
+            digest.update(f"{r.image} {r.assignment}\n".encode())
+        assert digest.hexdigest() == \
+            "5836105750b9479204867a609e13a53ed148f48a1a1cdcef7b34b6bd2eb10b53"
 
 
 class TestNonBipartiteFolds:
