@@ -12,9 +12,8 @@ procedure for embedded planar graphs at 3 <= p/q < 4.
 from .circular import (CircularParams, Colouring, WindReport, circular_clique,
                        cycle_wind, edge_weight, enumerate_colourings, reflect,
                        shift, validate_colouring, walk_weight)
-from .graphs import (Bipartition, BlockDecomposition, Cycle, CycleBasis, Graph,
-                     bipartition, blocks, build_graph, distance,
-                     enumerate_cycles, fundamental_cycle_basis)
+from .graphs import (Bipartition, Cycle, Graph, bipartition, blocks, build_graph,
+                     distance, enumerate_cycles)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 from .reconfig import (FixedSetReport, MixingBasis, MixingVerdict,
                        NonMixingWitness, col_neighbours, fixed_vertices,

@@ -78,13 +78,16 @@ def _read_headed(text: str, header: str, handle) -> None:
 
 
 def _colours(into: dict, back=None):
-    """Handler reading ``v=c`` entries into ``into``; with ``back``, a line
-    ``end`` closes the block and hands the next line to ``back``."""
+    """Handler reading ``v=c`` entries into ``into``, refusing a second
+    entry for one vertex; with ``back``, a line ``end`` closes the block and
+    hands the next line to ``back``."""
     def entries(_, line):
         if back is not None and line == "end":
             return back
         for tok in line.split():
             v, c = tok.split("=")
+            if int(v) in into:
+                raise ValueError("a second entry for one vertex")
             into[int(v)] = int(c)
     return entries
 
@@ -123,9 +126,14 @@ def parse_graph_document(text: str) -> GraphDocument:
                 raise ValueError("a second rotation of one vertex")
             rotations[int(v)] = (lineno, _ints(ring))
         elif line.startswith("outer:"):
+            # the upper bound needs the face count, so planar checks it
+            if outer is not None or int(line.split(":", 1)[1]) < 0:
+                raise ValueError("a second or negative outer face")
             outer = int(line.split(":", 1)[1])
         elif line.startswith("colouring "):
             name = line.split(None, 1)[1].rstrip(":")
+            if name in colourings:
+                raise ValueError("a second colouring of one name")
             colourings[name] = {}
             return _colours(colourings[name], back=directive)
         else:
@@ -239,6 +247,8 @@ def parse_witness(text: str, base_dir: str = ".") -> NonMixingWitness:
         if line == "colouring:":
             return _colours(colour_map, back=entry)
         key, value = (part.strip() for part in line.split(":", 1))
+        if key in fields:
+            raise ValueError("a second copy of one field")
         fields[key] = _WITNESS_FIELDS.get(key, str)(value)
 
     _read_headed(text, "witness", entry)
@@ -272,6 +282,8 @@ def parse_mixing_basis(text: str, base_dir: str = ".") -> MixingBasis:
         key, value = (part.strip() for part in line.split(":", 1))
         if key == "cycle":
             cycles.append(Cycle(_ints(value)))
+        elif key in fields:
+            raise ValueError("a second copy of one field")
         else:
             fields[key] = _BASIS_FIELDS.get(key, str)(value)
 
@@ -308,12 +320,14 @@ _TRACE_FIELDS = {"graph": str.strip, "component": _ints, "target": int}
 def verify_fold_trace_file(text: str, base_dir: str = "."):
     """Parse a fold trace and replay it against its referenced graph;
     returns (ok, problems).  The trace must name the cycle it ends on."""
-    fields = {"component": None}
+    fields = {}
     steps, final_edges = [], []
 
     def entry(_, line):
         key, colon, value = line.partition(":")
         if colon and key in _TRACE_FIELDS:
+            if key in fields:
+                raise ValueError("a second copy of one field")
             fields[key] = _TRACE_FIELDS[key](value)
         elif line.startswith("fold "):
             _, a, b = line.split()
@@ -335,7 +349,7 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
     if "target" not in fields:
         raise ParseError("fold trace missing its target cycle length")
     source = load_graph_document(os.path.join(base_dir, fields["graph"])).graph
-    if fields["component"] is not None:
+    if "component" in fields:
         source, _ = induced_subgraph(source, fields["component"])
     try:
         trace = replay_trace(source, steps)

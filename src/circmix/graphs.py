@@ -13,18 +13,17 @@ the one odd-cycle answer (``bipartition`` only reports whether one exists).
 ``minimum_cycle_basis`` is the one basis routine behind every cycle-length
 bound (the fold prune, the threshold scan, the wind shortcut) and every
 balance scan, which reads its chordless cycles (``edge_set_cycles``); it is
-polynomial, so it has no vertex cap.  Reachability signatures alone use
-``fundamental_cycle_basis``, cheaper than a Horton search per query.  Both
-cycle searches start only from ``_cycle_roots``, the vertices of degree 3
-or more plus one vertex of each bare-cycle component: every cycle meets
-them, and a cycle search from a vertex of a cycle sees that cycle, so a
-long cycle costs one BFS, not one per vertex.
+polynomial, so it has no vertex cap.  Both cycle searches start only from
+``_cycle_roots``, the vertices of degree 3 or more plus one vertex of each
+bare-cycle component: every cycle meets them, and a cycle search from a
+vertex of a cycle sees that cycle, so a long cycle costs one BFS, not one
+per vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 
@@ -35,7 +34,6 @@ class Graph:
     n: int
     edges: frozenset  # frozenset of (u, v) tuples with u < v
     adjacency: tuple  # per-vertex sorted tuple of neighbours
-    duplicates_collapsed: bool = field(default=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -57,28 +55,23 @@ def build_graph(n: int, edges: Iterable) -> Graph:
     """Normalize an edge list into a Graph.
 
     Endpoints must lie in 0..n-1 and loops are rejected.  Duplicate edges are
-    collapsed; the returned graph records that this happened.
+    collapsed.
     """
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
     seen = set()
-    duplicates = False
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"loop edge at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            duplicates = True
-        seen.add(e)
+        seen.add((u, v) if u < v else (v, u))
     adj = [[] for _ in range(n)]
     for u, v in seen:
         adj[u].append(v)
         adj[v].append(u)
     adjacency = tuple(tuple(sorted(a)) for a in adj)
-    return Graph(n=n, edges=frozenset(seen), adjacency=adjacency,
-                 duplicates_collapsed=duplicates)
+    return Graph(n=n, edges=frozenset(seen), adjacency=adjacency)
 
 
 @dataclass(frozen=True)
@@ -146,14 +139,6 @@ def is_cycle_of(g: Graph, vs: tuple) -> bool:
     return all(g.has_edge(vs[i], vs[(i + 1) % k]) for i in range(k))
 
 
-@dataclass(frozen=True)
-class CycleBasis:
-    """Spanning-forest edges plus one fundamental cycle per non-tree edge."""
-
-    tree_edges: frozenset
-    fundamental: tuple  # tuple of Cycle
-
-
 def bfs_forest(adjacency, roots) -> tuple:
     """Deterministic BFS forest over ``adjacency`` (a neighbour sequence per
     vertex, scanned in its own order) grown from each unvisited root in turn.
@@ -200,19 +185,6 @@ def _tree_cycle(parent, u: int, v: int) -> list:
         pu.pop()
         pv.pop()
     return pu + pv[:-1][::-1]
-
-
-def fundamental_cycle_basis(g: Graph) -> CycleBasis:
-    """BFS spanning forest (rooted at the lowest vertex of each component)
-    and the fundamental cycle of every non-tree edge."""
-    parent, _, order = bfs_forest(g.adjacency, range(g.n))
-    tree = {(min(parent[v], v), max(parent[v], v)) for v in order if parent[v] != -1}
-    fundamental = []
-    for (u, v) in sorted(g.edges):
-        if (u, v) in tree:
-            continue
-        fundamental.append(Cycle.from_vertices(_tree_cycle(parent, u, v)))
-    return CycleBasis(tree_edges=frozenset(tree), fundamental=tuple(fundamental))
 
 
 def enumerate_cycles(g: Graph, max_len: int) -> Iterator[Cycle]:
@@ -407,82 +379,49 @@ def edge_set_cycles(g: Graph, basis) -> list:
     return cycles
 
 
-@dataclass(frozen=True)
-class Block:
-    vertices: frozenset
-    edges: frozenset
+def blocks(g: Graph) -> list:
+    """Vertex sets of the biconnected components (blocks), as frozensets
+    sorted by their sorted vertices: Hopcroft-Tarjan on a stack of vertices.
 
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple  # tuple of Block
-    cut_vertices: frozenset
-
-
-def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components (blocks) and cut vertices, Hopcroft-Tarjan.
-
-    Every edge lands in exactly one block; isolated vertices are in none.
+    Every edge lies inside exactly one block; isolated vertices are in none.
     """
     disc = [-1] * g.n
     low = [0] * g.n
-    result = []
-    cuts = set()
+    found = []
     timer = 0
-    edge_stack = []
-
     for root in range(g.n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
+        reached = [root]  # vertices in discovery order whose block is open
         # Iterative DFS; frames are mutable [vertex, parent, neighbour index].
         stack = [[root, -1, 0]]
-        root_children = 0
         while stack:
             frame = stack[-1]
             u, pu = frame[0], frame[1]
             if frame[2] < len(g.adjacency[u]):
                 v = g.adjacency[u][frame[2]]
                 frame[2] += 1
-                if v == pu:
-                    continue
                 if disc[v] == -1:
-                    edge_stack.append((u, v))
                     disc[v] = low[v] = timer
                     timer += 1
+                    reached.append(v)
                     stack.append([v, u, 0])
-                elif disc[v] < disc[u]:
-                    edge_stack.append((u, v))
+                else:
+                    # the edge back to pu lowers low[u] to disc[pu] at most,
+                    # which the block test below allows
                     low[u] = min(low[u], disc[v])
             else:
                 stack.pop()
                 if pu != -1:
                     low[pu] = min(low[pu], low[u])
-                    if pu == root:
-                        root_children += 1
-                    if low[u] >= disc[pu]:
-                        if pu != root:
-                            cuts.add(pu)
-                        result.append(_pop_block(edge_stack, (pu, u)))
-        if root_children >= 2:
-            cuts.add(root)
-    blocks_sorted = tuple(sorted(result, key=lambda b: sorted(b.vertices)))
-    return BlockDecomposition(blocks=blocks_sorted, cut_vertices=frozenset(cuts))
-
-
-def _pop_block(edge_stack: list, top_edge: tuple) -> Block:
-    es = set()
-    while True:
-        u, v = edge_stack.pop()
-        es.add((u, v) if u < v else (v, u))
-        if (u, v) == top_edge:
-            break
-    vs = set()
-    for u, v in es:
-        vs.add(u)
-        vs.add(v)
-    return Block(vertices=frozenset(vs), edges=frozenset(es))
+                    if low[u] >= disc[pu]:  # pu cuts u's subtree off: a block
+                        block = {pu}
+                        while u not in block:
+                            block.add(reached.pop())
+                        found.append(frozenset(block))
+    return sorted(found, key=sorted)
 
 
 def distance(g: Graph, u: int, v: int) -> Optional[int]:

@@ -280,10 +280,10 @@ def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
 def _decide(piece: EmbeddedPiece, threshold: int, chooser) -> DecisionNode:
     g = piece.graph
     ids = piece.original_ids
-    pieces = blocks(g).blocks
-    if len(pieces) > 1 or len(pieces[0].vertices) < g.n:
+    pieces = blocks(g)
+    if len(pieces) > 1 or len(pieces[0]) < g.n:
         children = tuple(
-            _decide(_renamed(restrict_embedding(g, piece.rotation, blk.vertices), ids),
+            _decide(_renamed(restrict_embedding(g, piece.rotation, blk), ids),
                     threshold, chooser)
             for blk in pieces)
         return DecisionNode(kind="blocks", mixing=all(c.mixing for c in children),

@@ -28,8 +28,7 @@ from .circular import (CircularParams, Colouring, cycle_wind, edge_weight,
                        require_ratio_open, validate_colouring)
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, connected_components,
                      cycle_rank, cycle_space_dimension, edge_set_cycles,
-                     fundamental_cycle_basis, is_cycle_of, minimum_cycle_basis,
-                     shortest_cycle, tree_path)
+                     is_cycle_of, minimum_cycle_basis, shortest_cycle, tree_path)
 from .kernels import DEFAULT_STATE_BUDGET, BudgetExceededError, np
 
 __all__ = [
@@ -305,23 +304,25 @@ def fixed_vertices(f: Colouring, method: str = "tight-digraph",
 # Reachability by characterization.
 
 
-def reachability_signature(f: Colouring, basis=None):
+def reachability_signature(f: Colouring):
     """Everything the step-by-step reachability relation can distinguish:
 
     * the fixed vertex set with its images,
-    * the weight of every fundamental cycle,
+    * the wind of every edge u < v outside the BFS spanning forest, in
+      ``sorted(g.edges)`` order: ``(phi[u] + w(u,v) - phi[v]) / p``, where
+      ``phi`` is the root-based tree-path weight.  The edge's fundamental
+      cycle weighs a fixed affine function of it, the same for every
+      colouring, and wind is linear over the cycle space, so these winds
+      settle every cycle;
     * per component, tree-path weights from the least fixed vertex to every
-      other fixed vertex (as differences of root-based path weights).
+      other fixed vertex (as differences of ``phi``).
 
     Two colourings of the same instance are inter-reachable iff their
     signatures are equal (for 2 <= p/q < 4).
     """
     g = f.host
-    if basis is None:
-        basis = fundamental_cycle_basis(g)
     fixed = _tight_fixed_set(f)[0]
     images = tuple((v, f.colours[v]) for v in sorted(fixed))
-    cycle_weights = tuple(cycle_wind(f, c).weight for c in basis.fundamental)
     parent, _, order = bfs_forest(g.adjacency, range(g.n))
     phi = [0] * g.n
     root = list(range(g.n))
@@ -329,11 +330,13 @@ def reachability_signature(f: Colouring, basis=None):
         if parent[v] != -1:
             phi[v] = phi[parent[v]] + edge_weight(f, parent[v], v)
             root[v] = root[parent[v]]
+    winds = tuple((phi[u] + edge_weight(f, u, v) - phi[v]) // f.params.p
+                  for u, v in sorted(g.edges) if parent[v] != u and parent[u] != v)
     anchor = {}
     for v in sorted(fixed):
         anchor.setdefault(root[v], v)
     deltas = tuple((v, phi[v] - phi[anchor[root[v]]]) for v in sorted(fixed))
-    return fixed, images, cycle_weights, deltas
+    return fixed, images, winds, deltas
 
 
 def is_reachable_characterized(f: Colouring, g: Colouring) -> bool:
@@ -342,8 +345,7 @@ def is_reachable_characterized(f: Colouring, g: Colouring) -> bool:
     r = f.params.ratio
     if not (2 <= r < 4):
         raise ValueError(f"characterization needs 2 <= p/q < 4, got {r}")
-    basis = fundamental_cycle_basis(f.host)
-    return reachability_signature(f, basis) == reachability_signature(g, basis)
+    return reachability_signature(f) == reachability_signature(g)
 
 
 # ---------------------------------------------------------------------------

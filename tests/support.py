@@ -56,6 +56,12 @@ def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def mobius_ladder(k: int) -> Graph:
+    """C_2k plus the chords i-(i+k); bipartite exactly when k is odd."""
+    return build_graph(2 * k, [(i, (i + 1) % (2 * k)) for i in range(2 * k)]
+                       + [(i, i + k) for i in range(k)])
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism key for small graphs: one graph per class in the exhaustive
 # families, and the fold closure of ``brute_folds_to_cycle``.
@@ -606,6 +612,22 @@ def python_col_graph_dot(g: Graph, params: CircularParams) -> str:
 def basis_cycles(g: Graph) -> list:
     """The cycles of ``graphs.minimum_cycle_basis(g)``, shortest first."""
     return edge_set_cycles(g, minimum_cycle_basis(g))
+
+
+def fundamental_cycles(g: Graph) -> tuple:
+    """The fundamental cycle of every edge outside the BFS spanning forest
+    rooted at the least vertex of each component, in ``sorted(g.edges)``
+    order: a cycle basis by a route independent of Horton's."""
+    parent = bfs_forest(g.adjacency, range(g.n))[0]
+    cycles = []
+    for u, v in sorted(g.edges):
+        if parent[v] != u and parent[u] != v:
+            pu, pv = tree_path(parent, u), tree_path(parent, v)
+            while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
+                pu.pop()
+                pv.pop()
+            cycles.append(Cycle.from_vertices(pu + pv[:-1][::-1]))
+    return tuple(cycles)
 
 
 def chords(g: Graph, cycle) -> list:

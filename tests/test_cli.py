@@ -88,6 +88,20 @@ class TestMix:
         code, out, _ = run(capsys, "verify", cert)
         assert code == 0 and "PASS" in out
 
+    def test_mobius_ladder_mixes_only_after_a_scan(self, tmp_path, capsys):
+        # M10 at (3,1): a 6-cycle in its minimum basis reaches T = 6, so
+        # MIXING comes from a scan and writes no certificate
+        m10 = write_graph(tmp_path, support.mobius_ladder(5), "m10.txt")
+        cert = tmp_path / "m10.cert"
+        assert run(capsys, "mix", m10, "-p", "3", "-q", "1", "--method", "wind",
+                   "--certificate", str(cert)) == (0, "MIXING\n", "")
+        assert not cert.exists()
+        for p, q in (("7", "2"), ("10", "3")):
+            assert run(capsys, "mix", m10, "-p", p, "-q", q, "--method", "wind",
+                       "--certificate", str(cert)) == (
+                1, f"NOT-MIXING\ncertificate: {cert}\n", "")
+            assert run(capsys, "verify", str(cert)) == (0, "PASS\n", "")
+
     def test_oracle_certificate_also_verifies(self, tmp_path, capsys):
         c6 = write_graph(tmp_path, support.cycle(6), "c6.txt")
         cert = str(tmp_path / "c6.wit")

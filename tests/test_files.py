@@ -188,3 +188,77 @@ def test_square_with_rotations_parses():
     doc = files.parse_graph_document(SQUARE_ROTATIONS + SQUARE + "n 4\n")
     assert doc.graph == support.cycle(4)
     assert doc.rotation.rotation == ((1, 3), (0, 2), (1, 3), (0, 2))
+
+
+def test_a_vertex_coloured_twice_is_refused(tmp_path, capsys):
+    with pytest.raises(files.ParseError, match=re.escape("line 2: cannot parse '0=0'")):
+        files.parse_colouring_file("0=1\n0=0\n1=3\n")
+    with pytest.raises(files.ParseError, match=re.escape("line 1: cannot parse '0=1 0=2'")):
+        files.parse_colouring_file("0=1 0=2\n")
+    (tmp_path / "k2.txt").write_text("n 2\nedge 0 1\n")
+    (tmp_path / "f.col").write_text("0=0\n1=2\n")
+    (tmp_path / "g.col").write_text("# vertex 0 twice\n0=1\n0=0\n1=3\n")
+    assert main(["reach", str(tmp_path / "k2.txt"), "-p", "5", "-q", "2",
+                 "--from", str(tmp_path / "f.col"), "--to", str(tmp_path / "g.col")]) == 4
+    assert capsys.readouterr().err == "error: line 3: cannot parse '0=0'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a second block of one name is refused, not read over the first
+    ("n 2\nedge 0 1\ncolouring a\n0=0\n1=2\nend\ncolouring a\n0=1\n1=3\nend\n",
+     "line 7: cannot parse 'colouring a'"),
+    ("n 2\nedge 0 1\ncolouring a\n0=0\n0=1\n1=2\nend\n",
+     "line 5: cannot parse '0=1'"),
+])
+def test_a_colouring_block_is_read_once(text, message):
+    with pytest.raises(files.ParseError, match=re.escape(message)):
+        files.parse_graph_document(text)
+
+
+@pytest.mark.parametrize("method", ["planar", "wind", "fold", "oracle"])
+@pytest.mark.parametrize("text, message", [
+    ("n 4\n" + SQUARE + SQUARE_ROTATIONS + "outer: 0\nouter: 1\n",
+     "line 11: cannot parse 'outer: 1'"),
+    ("n 4\n" + SQUARE + "outer: -1\n" + SQUARE_ROTATIONS,
+     "line 6: cannot parse 'outer: -1'"),
+])
+def test_every_method_refuses_the_outer_line(tmp_path, capsys, text, message, method):
+    with pytest.raises(files.ParseError, match=re.escape(message)):
+        files.parse_graph_document(text)
+    (tmp_path / "g.txt").write_text(text)
+    assert main(["mix", str(tmp_path / "g.txt"), "-p", "7", "-q", "2",
+                 "--method", method]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_outer_past_the_faces_is_refused_by_planar_only(tmp_path, capsys):
+    (tmp_path / "g.txt").write_text("n 4\n" + SQUARE + SQUARE_ROTATIONS + "outer: 2\n")
+    assert files.parse_graph_document((tmp_path / "g.txt").read_text()).rotation.outer == 2
+    args = ["mix", str(tmp_path / "g.txt"), "-p", "7", "-q", "2", "--method"]
+    assert main(args + ["wind"]) == 0
+    assert main(args + ["planar"]) == 4
+    assert capsys.readouterr().err == "error: outer face index 2 out of range\n"
+
+
+@pytest.mark.parametrize("kind, key", [
+    (1, "graph"), (1, "p"), (1, "q"), (1, "cycle"), (1, "weight"), (1, "required"),
+    (3, "graph"), (3, "p"), (3, "q"),
+    (2, "graph"), (2, "component"), (2, "target"),
+])
+def test_a_second_copy_of_a_field_is_refused(certificates, tmp_path, capsys, kind, key):
+    base = certificates[0]
+    lines = (certificates[kind].replace("g.txt", f"{base}/g.txt")
+             .replace("h.txt", f"{base}/h.txt").splitlines())
+    if key == "component":  # the trace names no component of its own
+        lines[2:2] = ["component: " + " ".join(map(str, range(10)))]
+    at = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+    lines.insert(at + 1, lines[at])
+    cert = tmp_path / "twice.txt"
+    cert.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(cert)]) == 4
+    assert capsys.readouterr().err == f"error: line {at + 2}: cannot parse {lines[at]!r}\n"
+    # the single copy reads and verifies
+    del lines[at + 1]
+    cert.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(cert)]) == 0
+

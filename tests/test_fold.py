@@ -14,8 +14,8 @@ from circmix.fold import (RetractionMap, ThresholdResult, circular_mixing_thresh
                           retract_to_path, retract_to_shortest_cycle,
                           _fold_by_image, _is_cycle_graph, _winding_image)
 from circmix.generators import pinched_octagon, theta_graph
-from circmix.graphs import (bipartition, build_graph, distance, fundamental_cycle_basis,
-                            is_connected, minimum_cycle_basis, shortest_cycle)
+from circmix.graphs import (bipartition, build_graph, distance, is_connected,
+                            minimum_cycle_basis, shortest_cycle)
 from circmix.kernels import DEFAULT_STATE_BUDGET, BudgetExceededError
 from circmix.reconfig import is_mixing_oracle, is_mixing_wind
 
@@ -227,7 +227,7 @@ class TestFoldsToCycle:
             bip = bipartition(g)
             rows = [_winding_image(g, length, bip, cycles, DEFAULT_STATE_BUDGET)
                     for cycles in (support.basis_cycles(g),
-                                   fundamental_cycle_basis(g).fundamental)]
+                                   support.fundamental_cycles(g))]
             assert rows[0] == rows[1], (g.edges, length)
             wound += rows[0] is not None
         assert wound >= 100, wound
@@ -335,8 +335,7 @@ class TestOddMixing:
         counts = support.count_calls(
             monkeypatch, ("bipartition", "connected_components", "is_connected"), fold)
         bases = support.count_calls(
-            monkeypatch, ("minimum_cycle_basis", "fundamental_cycle_basis",
-                          "edge_set_cycles"), fold, graphs)
+            monkeypatch, ("minimum_cycle_basis", "edge_set_cycles"), fold, graphs)
         hexagon_and_edge = build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7)])
         theta = theta_graph(2, 2, 4).graph  # girth 4 < 6: the scan answers
         # (graph, mixes, basis calls, scans, folds built): only a folded
@@ -350,8 +349,7 @@ class TestOddMixing:
             assert odd_mixing_by_fold(g, 1)[0] is mixing
             assert counts == {"bipartition": 1, "connected_components": 1,
                               "is_connected": folded}
-            assert bases == {"minimum_cycle_basis": basis_calls,
-                             "fundamental_cycle_basis": 0, "edge_set_cycles": scans}
+            assert bases == {"minimum_cycle_basis": basis_calls, "edge_set_cycles": scans}
 
 
 class TestThreshold:
@@ -384,8 +382,7 @@ class TestThreshold:
 
     def test_one_basis_and_scans_only_past_the_girth(self, monkeypatch):
         counts = support.count_calls(
-            monkeypatch, ("minimum_cycle_basis", "fundamental_cycle_basis",
-                          "edge_set_cycles"), fold, graphs)
+            monkeypatch, ("minimum_cycle_basis", "edge_set_cycles"), fold, graphs)
         scanned = []
         winding_image = fold._winding_image
 
@@ -399,8 +396,7 @@ class TestThreshold:
         res = circular_mixing_threshold(theta_graph(3, 3, 13).graph)
         assert res == ThresholdResult(k=4, longest_basis_cycle=16, tested=(1, 2, 3))
         assert scanned == [10, 14]
-        assert counts == {"minimum_cycle_basis": 1, "fundamental_cycle_basis": 0,
-                          "edge_set_cycles": 1}
+        assert counts == {"minimum_cycle_basis": 1, "edge_set_cycles": 1}
         rng = random.Random(22)
         for _ in range(60):
             g = support.random_sparse_bipartite(rng)
@@ -412,7 +408,7 @@ class TestThreshold:
             # a graph on at most L vertices folds onto C_L only if it is C_L;
             # the basis cycles are decoded once, and only for a scan
             assert scanned == [4 * k + 2 for k in res.tested if girth < 4 * k + 2 < g.n]
-            assert counts == {"minimum_cycle_basis": 1, "fundamental_cycle_basis": 0,
+            assert counts == {"minimum_cycle_basis": 1,
                               "edge_set_cycles": int(bool(scanned))}
 
     def test_long_cycle(self):

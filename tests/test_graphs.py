@@ -12,10 +12,8 @@ import support
 from circmix import graphs
 from circmix.generators import theta_graph
 from circmix.graphs import (Bipartition, Cycle, _cycle_roots, bipartition, blocks, build_graph,
-                            connected_components, cycle_rank,
-                            cycle_space_dimension, distance, edge_set_cycles,
-                            enumerate_cycles, fundamental_cycle_basis,
-                            induced_subgraph, is_cycle_of, minimum_cycle_basis,
+                            cycle_rank, cycle_space_dimension, distance, edge_set_cycles,
+                            enumerate_cycles, induced_subgraph, is_cycle_of, minimum_cycle_basis,
                             shortest_cycle)
 from circmix.kernels import BudgetExceededError
 
@@ -42,11 +40,9 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(3, [(0, 3)])
 
-    def test_duplicate_edges_collapse_with_flag(self):
+    def test_duplicate_edges_collapse(self):
         g = build_graph(3, [(0, 1), (1, 0), (1, 2)])
-        assert g.m == 2
-        assert g.duplicates_collapsed
-        assert not build_graph(3, [(0, 1)]).duplicates_collapsed
+        assert g == build_graph(3, [(0, 1), (1, 2)])
 
     def test_degree_sum(self):
         g = support.grid(3, 3)
@@ -77,38 +73,6 @@ class TestBipartition:
             g = build_graph(n, edges)
             has_odd = any(len(c) % 2 == 1 for c in enumerate_cycles(g, n))
             assert bipartition(g).valid == (not has_odd)
-
-
-class TestCycleBasis:
-    def test_tree_has_empty_basis(self):
-        assert fundamental_cycle_basis(support.path(5)).fundamental == ()
-
-    def test_c6_single_cycle(self):
-        basis = fundamental_cycle_basis(support.cycle(6))
-        assert len(basis.fundamental) == 1
-        assert len(basis.fundamental[0]) == 6
-
-    def test_k23_two_squares(self):
-        basis = fundamental_cycle_basis(support.complete_bipartite(2, 3))
-        assert len(basis.fundamental) == 2
-        assert [len(c) for c in basis.fundamental] == [4, 4]
-
-    def test_count_invariant(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            edges = [e for e in itertools.combinations(range(n), 2)
-                     if rng.random() < 0.4]
-            g = build_graph(n, edges)
-            basis = fundamental_cycle_basis(g)
-            comps = len(connected_components(g))
-            assert len(basis.fundamental) == g.m - g.n + comps
-            assert len(basis.tree_edges) == g.n - comps
-            for c in basis.fundamental:
-                non_tree = [e for e in ((min(a, b), max(a, b))
-                                        for a, b in c.directed_edges())
-                            if e not in basis.tree_edges]
-                assert len(non_tree) == 1
 
 
 class TestEnumerateCycles:
@@ -146,36 +110,35 @@ class TestEnumerateCycles:
 class TestBlocks:
     def test_two_triangles_sharing_vertex(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-        d = blocks(g)
-        assert len(d.blocks) == 2
-        assert d.cut_vertices == frozenset({2})
+        assert blocks(g) == [frozenset({0, 1, 2}), frozenset({2, 3, 4})]
 
     def test_c6_single_block(self):
-        d = blocks(support.cycle(6))
-        assert len(d.blocks) == 1
-        assert not d.cut_vertices
+        assert blocks(support.cycle(6)) == [frozenset(range(6))]
 
     def test_path_bridges(self):
-        d = blocks(support.path(4))
-        assert len(d.blocks) == 3
-        assert all(len(b.edges) == 1 for b in d.blocks)
-        assert d.cut_vertices == frozenset({1, 2})
+        assert blocks(support.path(4)) == [frozenset({0, 1}), frozenset({1, 2}),
+                                           frozenset({2, 3})]
+
+    def test_isolated_vertices_are_in_no_block(self):
+        assert blocks(build_graph(4, [(1, 2)])) == [frozenset({1, 2})]
 
     def test_edge_partition(self):
+        # each edge lies inside exactly one block's vertex set
         rng = random.Random(5)
         for _ in range(120):
             n = rng.randint(2, 9)
             edges = [e for e in itertools.combinations(range(n), 2)
                      if rng.random() < 0.3]
             g = build_graph(n, edges)
-            d = blocks(g)
-            union = [e for b in d.blocks for e in b.edges]
-            assert len(union) == len(set(union)) == g.m
-            assert set(union) == set(g.edges)
+            found = blocks(g)
+            assert found == sorted(found, key=sorted)
+            for u, v in g.edges:
+                assert sum(u in b and v in b for b in found) == 1
 
     def test_block_vertex_sets_induce_exactly_the_block_edges(self):
         # an edge joining two vertices of a block would extend the block, so
-        # a block is cut out of its graph by its vertex set alone
+        # a block is cut out of its graph by its vertex set alone, and the
+        # blocks' induced edge sets partition the edges
         rng = random.Random(11)
         seen_cuts = seen_bridges = 0
         for _ in range(150):
@@ -195,12 +158,16 @@ class TestBlocks:
                 elif n > 2:  # an edge that may merge blocks
                     edges.append(tuple(rng.sample(range(n), 2)))
             g = build_graph(n + rng.randint(0, 2), edges)  # maybe isolated vertices
-            d = blocks(g)
-            seen_cuts += bool(d.cut_vertices)
-            seen_bridges += any(len(b.edges) == 1 for b in d.blocks)
-            for b in d.blocks:
-                sub, remap = induced_subgraph(g, b.vertices)
-                assert sub.edges == {(remap[u], remap[v]) for u, v in b.edges}
+            found = blocks(g)
+            memberships = [v for b in found for v in b]
+            seen_cuts += len(memberships) > len(set(memberships))
+            seen_bridges += any(len(b) == 2 for b in found)
+            induced = []
+            for b in found:
+                sub, remap = induced_subgraph(g, b)
+                old = {i: v for v, i in remap.items()}
+                induced += [(old[u], old[v]) for u, v in sub.edges]
+            assert sorted(induced) == sorted(g.edges)
         assert seen_cuts > 50 and seen_bridges > 50
 
 

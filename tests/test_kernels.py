@@ -186,14 +186,14 @@ def _first_unbalanced(g, p, q, cycles, block=None):
 
 
 def test_first_unbalanced():
-    from circmix.graphs import build_graph, fundamental_cycle_basis
+    from circmix.graphs import build_graph
 
     g, p, q = support.cycle(10), 5, 2
     states = enumerate_states(g, p, q)
-    basis = fundamental_cycle_basis(g).fundamental
+    basis = support.fundamental_cycles(g)
     g8, g5 = support.cycle(8), support.cycle(5)
-    basis8 = fundamental_cycle_basis(g8).fundamental
-    basis5 = fundamental_cycle_basis(g5).fundamental
+    basis8 = support.fundamental_cycles(g8)
+    basis5 = support.fundamental_cycles(g5)
     for block in (None, 7):  # the same answers from blocks of 7 rows
         row, found = _first_unbalanced(g, p, q, basis, block)
         assert found == [0]
@@ -217,7 +217,7 @@ def test_first_unbalanced():
 
 def test_first_unbalanced_matches_cycle_wind():
     # the first colouring, in lexicographic order, that wraps a basis cycle
-    from circmix.graphs import build_graph, fundamental_cycle_basis
+    from circmix.graphs import build_graph
     from circmix.circular import cycle_wind
 
     rng = random.Random(17)
@@ -230,7 +230,7 @@ def test_first_unbalanced_matches_cycle_wind():
     kinds = set()
     cases = itertools.product(graphs, [(5, 2), (6, 2), (7, 2), (7, 3)])
     for i, (g, (p, q)) in enumerate(cases):
-        cycles = fundamental_cycle_basis(g).fundamental
+        cycles = support.fundamental_cycles(g)
         want, count = None, 0
         for f in enumerate_colourings(g, CircularParams(p, q)):
             found = [j for j, c in enumerate(cycles) if cycle_wind(f, c).wrapped]

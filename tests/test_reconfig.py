@@ -13,7 +13,7 @@ import support
 from circmix import graphs, kernels, reconfig
 from circmix.circular import (CircularParams, Colouring, edge_weight,
                               enumerate_colourings, shift, validate_colouring)
-from circmix.graphs import Cycle, build_graph, enumerate_cycles, fundamental_cycle_basis
+from circmix.graphs import Cycle, build_graph, enumerate_cycles
 from circmix.kernels import BudgetExceededError
 from circmix.reconfig import (MixingVerdict, NonMixingWitness, _make_witness,
                               col_neighbours, fixed_vertices, is_mixing_oracle,
@@ -254,7 +254,9 @@ class TestFixed:
         # tight-digraph traversals moved onto graphs.bfs_forest.  A cycle
         # walk closes at the first vertex, in BFS order from v, with an arc
         # into v; a path walk runs between the first core vertices reached
-        # backwards and forwards.
+        # backwards and forwards.  The edge winds are left out of the
+        # digest: test_signature_equality_is_fundamental_weight_equality
+        # holds them to the fundamental cycle weights they stand for.
         lines = []
         path_walks = 0
         for seed in range(300):
@@ -262,16 +264,16 @@ class TestFixed:
             g, colours = support.joined_odd_cycles(random.Random(seed), p, q)
             f = support.colouring(g, CircularParams(p, q), colours)
             report = fixed_vertices(f)
-            fixed, images, weights, deltas = reachability_signature(f)
+            fixed, images, _, deltas = reachability_signature(f)
             for v, walk in report.evidence.items():
                 assert v in walk
                 assert all(edge_weight(f, a, b) == q for a, b in zip(walk, walk[1:]))
                 path_walks += walk[0] != walk[-1]
             lines.append(repr((sorted(report.fixed), sorted(report.evidence.items()),
-                               sorted(fixed), images, weights, deltas)))
+                               sorted(fixed), images, deltas)))
         assert path_walks == 439
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "8c89072961a700713d045bed609d2f45c90d2dd3fdada322531e2ee31235e578"
+        assert digest == "52101029c495a6bb8b50ec6d94ff0611e7351d9672a063bdf062b79618a3fdf4"
 
     def test_only_fixed_vertices_builds_walks(self, monkeypatch):
         # a signature keeps the fixed set but not its evidence walks
@@ -326,6 +328,29 @@ class TestReachabilityCharacterized:
         for i, f in enumerate(states):
             for j, h in enumerate(states):
                 assert is_reachable_characterized(f, h) == (labels[i] == labels[j])
+
+    def test_signature_equality_is_fundamental_weight_equality(self):
+        # each edge wind is an affine function of its fundamental cycle's
+        # weight, the same for every colouring, so swapping the winds for
+        # those weights (support.fundamental_cycles) keeps every equality
+        rng = random.Random(25)
+        pairs = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            g = build_graph(n, [tuple(rng.sample(range(n), 2))
+                                for _ in range(rng.randint(0, 2 * n))] if n > 1 else [])
+            cycles = support.fundamental_cycles(g)
+            for params in (P31, P52, P73, P83, CircularParams(2, 1), CircularParams(4, 2)):
+                states = list(itertools.islice(enumerate_colourings(g, params), 40))
+                sigs = [reachability_signature(f) for f in states]
+                refs = [s[:2] + (tuple(sum(edge_weight(f, a, b) for a, b in c.directed_edges())
+                                       for c in cycles),) + s[3:]
+                        for f, s in zip(states, sigs)]
+                assert all(len(s[2]) == len(cycles) for s in sigs)
+                for i, j in itertools.product(range(len(states)), repeat=2):
+                    assert (sigs[i] == sigs[j]) == (refs[i] == refs[j])
+                pairs += len(states) ** 2
+        assert pairs > 50_000, pairs
 
     def test_ratio_guard(self):
         g = support.cycle(4)
@@ -442,7 +467,7 @@ def reference_wind_scan(g, params, limit):
     basis = support.basis_cycles(g)
     if not basis:
         return "mixing", None, None
-    fundamental = fundamental_cycle_basis(g).fundamental
+    fundamental = support.fundamental_cycles(g)
     p = params.p
 
     def unbalanced(f, cycles):
@@ -487,8 +512,7 @@ class TestPinnedWindScan:
 
     def test_one_basis_and_the_scan_reads_its_cycles(self, monkeypatch):
         counts = support.count_calls(
-            monkeypatch, ("minimum_cycle_basis", "fundamental_cycle_basis"),
-            reconfig, graphs)
+            monkeypatch, ("minimum_cycle_basis",), reconfig, graphs)
         scans = []
         first_unbalanced = kernels.first_unbalanced
 
@@ -505,7 +529,7 @@ class TestPinnedWindScan:
                 counts.update(dict.fromkeys(counts, 0))
                 scans.clear()
                 is_mixing_wind(g, params)
-                assert counts == {"minimum_cycle_basis": 1, "fundamental_cycle_basis": 0}
+                assert counts == {"minimum_cycle_basis": 1}
                 if scans:
                     scanned += 1
                     assert scans == [support.basis_cycles(g)]
@@ -513,8 +537,8 @@ class TestPinnedWindScan:
 
     def test_state_count_matches_oracle(self):
         # The cycle-basis shortcut answers every one of these without a scan,
-        # and no small bipartite graph is known that mixes and still scans,
-        # so the count is checked on the scan itself.
+        # so the count is checked on the scan itself; the Mobius ladder M10
+        # below mixes only after a scan.
         cases = [
             (support.cycle(4), P72), (support.grid(2, 3), P52),
             (support.complete_bipartite(2, 3), P73),
@@ -529,6 +553,14 @@ class TestPinnedWindScan:
             v = reconfig._wind_scan(g, params, cycles, kernels.DEFAULT_STATE_BUDGET)
             assert v.status == "mixing"
             assert v.state_count == is_mixing_oracle(g, params).state_count
+        # M10: C10 plus the chords i-(i+5), bipartite, basis lengths
+        # [4, 4, 4, 4, 4, 6]; the 6-cycle reaches T = 6 at (3,1)
+        m10 = support.mobius_ladder(5)
+        assert [length for length, _ in graphs.minimum_cycle_basis(m10)] == [4] * 5 + [6]
+        v = is_mixing_wind(m10, P31)
+        assert v == MixingVerdict(status="mixing", state_count=306)
+        assert v.state_count == is_mixing_oracle(m10, P31).state_count
+        assert reconfig.mixing_basis(m10, P31) is None
 
     def test_budget_counts_pinned_states(self):
         # C6 at (7,2) is scanned: its 4354 colourings, 622 with vertex 0
@@ -630,7 +662,7 @@ class TestWindInvariants:
     def test_single_move_preserves_cycle_weights(self):
         for n in range(3, 6):
             for g in support.connected_bipartite_upto_iso(n):
-                basis = fundamental_cycle_basis(g).fundamental
+                basis = support.fundamental_cycles(g)
                 if not basis:
                     continue
                 for f in enumerate_colourings(g, P52):
@@ -644,7 +676,7 @@ class TestWindInvariants:
     def test_basis_balance_equals_all_cycle_balance(self):
         for n in range(3, 6):
             for g in support.connected_graphs_upto_iso(n):
-                basis = fundamental_cycle_basis(g).fundamental
+                basis = support.fundamental_cycles(g)
                 cycles = list(enumerate_cycles(g, n))
                 for f in itertools.islice(enumerate_colourings(g, P52), 40):
                     p = 5
@@ -658,7 +690,7 @@ class TestWindInvariants:
 
     def test_basis_weight_equality_extends_to_all_cycles(self):
         g = support.complete_bipartite(2, 3)
-        basis = fundamental_cycle_basis(g).fundamental
+        basis = support.fundamental_cycles(g)
         cycles = list(enumerate_cycles(g, g.n))
         states = list(enumerate_colourings(g, P52))
         for f, h in itertools.islice(itertools.combinations(states, 2), 300):
