@@ -73,8 +73,6 @@ _GENERATORS = {
 
 
 def cmd_gen(args) -> int:
-    if args.kind not in _GENERATORS:
-        raise ValueError(f"unknown generator {args.kind!r}")
     arity, factory = _GENERATORS[args.kind]
     if len(args.args) != arity:
         raise ValueError(f"generator {args.kind} takes {arity} argument(s)")
@@ -112,13 +110,10 @@ def cmd_mix(args) -> int:
         status = "mixing" if mixing else "not-mixing"
         verdict = reconfig.MixingVerdict(status=status)
         trace_payload = payload
-    elif args.method == "planar":
+    else:  # planar
         if doc.rotation is None:
             raise ValueError("planar method needs rotation lines in the graph file")
-        verdict, tree = planar.planar_mixing_decider(g, doc.rotation, params)
-        explanation = tree
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+        verdict, explanation = planar.planar_mixing_decider(g, doc.rotation, params)
 
     # Every output is built before any is written and every file is written
     # before stdout, so a certificate or DOT export that exits 3 or 4 leaves
@@ -169,11 +164,9 @@ def cmd_reach(args) -> int:
                 v = next(i for i in range(doc.graph.n) if a.colours[i] != b.colours[i])
                 print(f"recolour {v} -> {b.colours[v]}")
         return EXIT_YES if ok else EXIT_NO
-    if args.method == "characterized":
-        ok = reconfig.is_reachable_characterized(f, g)
-        print("REACHABLE" if ok else "UNREACHABLE")
-        return EXIT_YES if ok else EXIT_NO
-    raise ValueError(f"unknown method {args.method!r}")
+    ok = reconfig.is_reachable_characterized(f, g)
+    print("REACHABLE" if ok else "UNREACHABLE")
+    return EXIT_YES if ok else EXIT_NO
 
 
 def cmd_verify(args) -> int:
@@ -210,6 +203,18 @@ def cmd_min_cycle(args) -> int:
     return EXIT_YES
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: a negative one is refused at parsing (exit 4)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="circmix",
                      description="decide and certify circular-colouring mixing")
@@ -227,7 +232,7 @@ def build_parser() -> _Parser:
         p.add_argument("-q", type=int, required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+        p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET,
                        help="cap on states enumerated at any one vertex: "
                        "colourings (the wind method counts those with each "
                        "component's least vertex at colour 0, or on a "

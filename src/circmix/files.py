@@ -18,7 +18,7 @@ from typing import Optional
 from . import kernels
 from .circular import CircularParams, Colouring
 from .fold import FoldTrace, _is_cycle_graph, replay_trace
-from .graphs import Cycle, Graph, build_graph, induced_subgraph
+from .graphs import Cycle, Graph, build_graph, connected_components, induced_subgraph
 from .kernels import np
 from .planar import RotationSystem, _check_ring
 from .reconfig import (MixingBasis, NonMixingWitness, verify_mixing_basis,
@@ -320,15 +320,16 @@ _TRACE_FIELDS = {"graph": str.strip, "component": _ints, "target": int}
 def verify_fold_trace_file(text: str, base_dir: str = "."):
     """Parse a fold trace and replay it against its referenced graph;
     returns (ok, problems).  The trace must name the cycle it ends on."""
-    fields = {}
+    fields, field_lines = {}, {}
     steps, final_edges = [], []
 
-    def entry(_, line):
+    def entry(lineno, line):
         key, colon, value = line.partition(":")
         if colon and key in _TRACE_FIELDS:
             if key in fields:
                 raise ValueError("a second copy of one field")
             fields[key] = _TRACE_FIELDS[key](value)
+            field_lines[key] = lineno
         elif line.startswith("fold "):
             _, a, b = line.split()
             steps.append((int(a), int(b)))
@@ -350,6 +351,9 @@ def verify_fold_trace_file(text: str, base_dir: str = "."):
         raise ParseError("fold trace missing its target cycle length")
     source = load_graph_document(os.path.join(base_dir, fields["graph"])).graph
     if "component" in fields:
+        with _at_line(field_lines["component"]):  # its graph may come after it
+            if sorted(fields["component"]) not in connected_components(source):
+                raise ValueError("not the vertex set of a connected component")
         source, _ = induced_subgraph(source, fields["component"])
     try:
         trace = replay_trace(source, steps)
@@ -389,8 +393,8 @@ def verify_certificate(path: str) -> tuple:
 DOT_STATE_CAP = 20_000  # desk scale: larger recolouring graphs are unreadable
 
 
-def graph_to_dot(g: Graph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph g {"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for (u, v) in sorted(g.edges):

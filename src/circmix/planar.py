@@ -4,7 +4,8 @@ the polynomial planar mixing decider for 3 <= p/q < 4.
 Embeddings arrive as rotation systems (a cyclic neighbour order per vertex);
 they are validated, never computed.  For a 2-connected embedded bipartite
 graph with no short separating cycles, mixing reduces to counting long
-faces; separating 4-cycles are split away first, which is exactly what the
+faces; separating 4-cycles are split away first, each piece at the first
+one the lazy ``separating_cycles`` yields, which is exactly what the
 3 <= p/q < 4 range needs since the minimal non-mixing even cycle there is
 the 6-cycle.  That threshold comes in closed form from the wind
 characterization (``circular.minimal_non_mixing_even_cycle``, importable
@@ -14,7 +15,7 @@ from here too); the decider runs no colouring enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .circular import CircularParams, minimal_non_mixing_even_cycle
 from .graphs import (Cycle, Graph, bfs_forest, bipartition, blocks,
@@ -122,22 +123,17 @@ def _normalize_walk(walk: tuple) -> tuple:
 def _check_euler(g: Graph, walks: list) -> None:
     if sum(len(w) for w in walks) != 2 * g.m:
         raise EmbeddingError("face walks do not cover every dart exactly once")
-    comp_of = {}
     comps = connected_components(g)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    face_count = [0] * len(comps)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    euler = [len(comp) for comp in comps]  # V - E + F, one pass over each
+    for u, _ in g.edges:
+        euler[comp_of[u]] -= 1
     for w in walks:
-        face_count[comp_of[w[0]]] += 1
-    for i, comp in enumerate(comps):
-        mc = sum(1 for (u, v) in g.edges if comp_of[u] == i)
-        if mc == 0:
-            continue
-        euler = len(comp) - mc + face_count[i]
-        if euler != 2:
+        euler[comp_of[w[0]]] += 1
+    for comp, value in zip(comps, euler):
+        if len(comp) > 1 and value != 2:  # a lone vertex has no edge and no face
             raise EmbeddingError(
-                f"component of vertex {comp[0]}: V-E+F = {euler}, expected 2")
+                f"component of vertex {comp[0]}: V-E+F = {value}, expected 2")
 
 
 def region_split(g: Graph, rot: RotationSystem, c: Cycle) -> RegionSplit:
@@ -201,16 +197,14 @@ def restrict_embedding(g: Graph, rot: RotationSystem, vertices) -> EmbeddedPiece
                          original_ids=tuple(remap))
 
 
-def separating_cycles(g: Graph, rot: RotationSystem, length: int) -> list:
-    """All cycles of exactly the given length whose removal leaves vertices
-    strictly inside and strictly outside, in enumeration order."""
-    out = []
+def separating_cycles(g: Graph, rot: RotationSystem, length: int) -> Iterator[Cycle]:
+    """The cycles of exactly the given length whose removal leaves vertices
+    strictly inside and strictly outside, in enumeration order.  Lazy: a
+    cycle is tested only once every separating cycle before it is taken.
+    The planar decider splits each piece at the first one of length 4."""
     for c in enumerate_cycles(g, length):
-        if len(c) != length:
-            continue
-        if region_split(g, rot, c).separating:
-            out.append(c)
-    return out
+        if len(c) == length and region_split(g, rot, c).separating:
+            yield c
 
 
 def face_criterion(fs: FaceSet, threshold: int):
@@ -245,20 +239,17 @@ class DecisionNode:
                 "children": [c.to_dict() for c in self.children]}
 
 
-def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
-                          split_chooser=None):
+def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams):
     """Polynomial mixing decision for embedded bipartite planar graphs at
     3 <= p/q < 4.  Returns (MixingVerdict, DecisionNode).
 
     Blocks are decided independently (isolated vertices, in no block, drop
-    out); within a 2-connected piece any separating 4-cycle splits the
-    instance into its closed interior and exterior; a piece without
-    separating 4-cycles mixes iff at most one of its faces has length >=
-    the minimal non-mixing even cycle (6 throughout this parameter range).
-
-    ``split_chooser`` picks which separating 4-cycle to split at (default:
-    the first in enumeration order); the verdict is independent of the
-    choice and the test suite exercises randomized choosers.
+    out); a 2-connected piece splits into the closed interior and exterior
+    of the first separating 4-cycle that ``separating_cycles`` enumerates,
+    and no 4-cycle after it is tested (the verdict does not depend on which
+    separating 4-cycle is split at); a piece without separating 4-cycles
+    mixes iff at most one of its faces has length >= the minimal non-mixing
+    even cycle (6 throughout this parameter range).
     """
     r = params.ratio
     if not (3 <= r < 4):
@@ -271,34 +262,30 @@ def planar_mixing_decider(g: Graph, rot: RotationSystem, params: CircularParams,
     threshold = minimal_non_mixing_even_cycle(params)
     piece = EmbeddedPiece(graph=g, rotation=rot, original_ids=tuple(range(g.n)))
     faces(g, rot)  # validate the embedding up front
-    chooser = split_chooser if split_chooser is not None else lambda seps: seps[0]
-    tree = _decide(piece, threshold, chooser)
+    tree = _decide(piece, threshold)
     status = "mixing" if tree.mixing else "not-mixing"
     return MixingVerdict(status=status), tree
 
 
-def _decide(piece: EmbeddedPiece, threshold: int, chooser) -> DecisionNode:
+def _decide(piece: EmbeddedPiece, threshold: int) -> DecisionNode:
     g = piece.graph
     ids = piece.original_ids
     pieces = blocks(g)
     if len(pieces) > 1 or len(pieces[0]) < g.n:
         children = tuple(
-            _decide(_renamed(restrict_embedding(g, piece.rotation, blk), ids),
-                    threshold, chooser)
+            _decide(_renamed(restrict_embedding(g, piece.rotation, blk), ids), threshold)
             for blk in pieces)
         return DecisionNode(kind="blocks", mixing=all(c.mixing for c in children),
                             detail={"count": len(pieces)}, children=children)
-    if g.n >= 5:
-        seps = separating_cycles(g, piece.rotation, 4)
-        if seps:
-            chosen = chooser(seps)
-            split = region_split(g, piece.rotation, chosen)
-            children = tuple(_decide(_renamed(half, ids), threshold, chooser)
-                             for half in (split.interior_piece, split.exterior_piece))
-            return DecisionNode(
-                kind="split", mixing=all(c.mixing for c in children),
-                detail={"cycle": tuple(ids[v] for v in chosen.vertices)},
-                children=children)
+    chosen = next(separating_cycles(g, piece.rotation, 4), None) if g.n >= 5 else None
+    if chosen is not None:
+        split = region_split(g, piece.rotation, chosen)
+        children = tuple(_decide(_renamed(half, ids), threshold)
+                         for half in (split.interior_piece, split.exterior_piece))
+        return DecisionNode(
+            kind="split", mixing=all(c.mixing for c in children),
+            detail={"cycle": tuple(ids[v] for v in chosen.vertices)},
+            children=children)
     fs = faces(g, piece.rotation)
     count, verdict = face_criterion(fs, threshold)
     return DecisionNode(

@@ -87,7 +87,6 @@ class MixingVerdict:
 @dataclass(frozen=True)
 class FixedSetReport:
     fixed: frozenset
-    method: str  # "oracle" | "tight-digraph"
     evidence: dict  # vertex -> tight walk (tight-digraph) or {} (oracle)
 
 
@@ -289,14 +288,13 @@ def fixed_vertices(f: Colouring, method: str = "tight-digraph",
         comp = states[visited]
         constant = np.all(comp == comp[0], axis=0)
         fixed = frozenset(int(v) for v in np.nonzero(constant)[0])
-        return FixedSetReport(fixed=fixed, method="oracle", evidence={})
+        return FixedSetReport(fixed=fixed, evidence={})
     if method == "tight-digraph":
         require_ratio_open(f.params)
         fixed, arcs, rev, cycles = _tight_fixed_set(f)
         evidence = {v: cycles[v] if v in cycles else _core_walk(arcs, rev, cycles, v)
                     for v in sorted(fixed)}
-        return FixedSetReport(fixed=fixed, method="tight-digraph",
-                              evidence=evidence)
+        return FixedSetReport(fixed=fixed, evidence=evidence)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,10 +11,10 @@ import support
 import circmix
 from circmix import files
 from circmix.circular import CircularParams, cycle_wind, enumerate_colourings
-from circmix.cli import main
-from circmix.generators import cube_graph, pinched_octagon
+from circmix.cli import _GENERATORS, build_parser, main
+from circmix.generators import cube_graph, cycle_graph, pinched_octagon
 from circmix.graphs import Cycle, build_graph
-from circmix.kernels import BudgetExceededError, enumerate_states
+from circmix.kernels import DEFAULT_STATE_BUDGET, BudgetExceededError, enumerate_states
 from circmix.reconfig import NonMixingWitness, is_mixing_oracle
 
 
@@ -513,6 +514,84 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["mix"])  # missing required arguments
         assert exc.value.code == 4
+
+
+def _subcommand_options(dest):
+    """Subcommand name -> the argparse action of its ``dest`` option, for
+    every subcommand that has one."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: action for name, parser in sub.choices.items()
+            for action in parser._actions if action.dest == dest}
+
+
+class TestDispatch:
+    """Every value argparse accepts reaches a command branch; argparse alone
+    refuses the others (exit 4)."""
+
+    GENERATOR_ARGS = {"cycle": ["6"], "clique": ["5", "2"], "grid": ["2", "3"],
+                      "theta": ["2", "2", "2"]}
+
+    def test_every_generator_dispatches(self, capsys):
+        kinds = _subcommand_options("kind")["gen"].choices
+        assert sorted(kinds) == sorted(_GENERATORS)
+        for kind in kinds:
+            code, text, err = run(capsys, "gen", kind, *self.GENERATOR_ARGS.get(kind, []))
+            assert (code, err) == (0, ""), kind
+            assert files.parse_graph_document(text).graph.m > 0, kind
+
+    def test_every_method_dispatches(self, tmp_path, capsys):
+        gg = cycle_graph(6)  # not mixing at (3,1) by every method
+        c6 = write_graph(tmp_path, gg.graph, "c6.txt", rotation=gg.rotation)
+        methods = _subcommand_options("method")
+        assert sorted(methods) == ["mix", "reach"]
+        for method in methods["mix"].choices:
+            code, out, err = run(capsys, "mix", c6, "-p", "3", "-q", "1", "--method", method)
+            assert (code, out.splitlines()[0], err) == (1, "NOT-MIXING", ""), method
+        k2 = write_graph(tmp_path, build_graph(2, [(0, 1)]), "k2.txt")
+        f, g = tmp_path / "f.col", tmp_path / "g.col"
+        f.write_text("0=0\n1=2\n")
+        g.write_text("0=1\n1=3\n")
+        for method in methods["reach"].choices:
+            code, out, err = run(capsys, "reach", k2, "-p", "5", "-q", "2",
+                                 "--from", str(f), "--to", str(g), "--method", method)
+            assert (code, out.splitlines()[0], err) == (0, "REACHABLE", ""), method
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "bogus"],
+        ["mix", "g.txt", "-p", "7", "-q", "2", "--method", "bogus"],
+        ["reach", "g.txt", "-p", "7", "-q", "2", "--from", "f", "--to", "g",
+         "--method", "bogus"]])
+    def test_argparse_refuses_an_unknown_choice(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_a_negative_budget_is_refused_by_every_command(self, tmp_path, capsys):
+        c10 = write_graph(tmp_path, support.cycle(10), "c10.txt")
+        f = tmp_path / "f.col"
+        f.write_text("".join(f"{v}={2 * (v % 2)}\n" for v in range(10)))
+        commands = {"mix": ["mix", c10, "-p", "7", "-q", "2", "--method", "wind"],
+                    "reach": ["reach", c10, "-p", "5", "-q", "2", "--from", str(f),
+                              "--to", str(f)],
+                    "fold-search": ["fold-search", c10, "-L", "6"],
+                    "threshold": ["threshold", c10]}
+        assert sorted(commands) == sorted(_subcommand_options("budget"))
+        for argv in commands.values():
+            for budget in ("-5", "-1"):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--budget", budget])
+                assert exc.value.code == 4, argv
+                out = capsys.readouterr()
+                assert out.out == ""
+                assert out.err.endswith(
+                    f"error: argument --budget: expected a non-negative integer, "
+                    f"got '{budget}'\n")
+            assert main(argv + ["--budget", str(DEFAULT_STATE_BUDGET)]) in (0, 1)
+            capsys.readouterr()
+        # the budget of 0 is a cap that nothing fits under
+        assert run(capsys, "mix", c10, "-p", "5", "-q", "2", "--budget", "0")[0] == 3
 
 
 class TestStartUp:

@@ -16,7 +16,7 @@ from circmix.circular import CircularParams
 from circmix.cli import main
 from circmix.fold import folds_to_cycle
 from circmix.generators import cube_graph, pinched_octagon
-from circmix.graphs import build_graph
+from circmix.graphs import build_graph, induced_subgraph
 from circmix.reconfig import is_mixing_wind, mixing_basis
 
 TOKENS = ["=", ":", "1/0", "end", "edge", "fold", "final:", "cycle:", "\n"]
@@ -262,3 +262,49 @@ def test_a_second_copy_of_a_field_is_refused(certificates, tmp_path, capsys, kin
     cert.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(cert)]) == 0
 
+
+
+@pytest.mark.parametrize("first", [False, True])
+@pytest.mark.parametrize("component", [
+    "0 1 2 3 4 5 6 7 8 99", "-1 0 1 2 3 4 5 6 7 8 9", "0 1 2 3 4 5 6 7 8 9 9",
+    "0 1 2 3 3 5 6 7 8 9", "0 1 2 3 4 5 6 7 8", ""])
+def test_a_component_line_names_a_component_of_the_graph(tmp_path, capsys, first,
+                                                         component):
+    # a fold trace's component line, edited: refused at its line, not
+    # replayed with a phantom vertex
+    message = "not the vertex set of a connected component"
+    c10, trace = str(tmp_path / "c10.txt"), tmp_path / "t.trace"
+    assert main(["gen", "cycle", "10", "--out", c10]) == 0
+    assert main(["mix", c10, "-p", "3", "-q", "1", "--method", "fold",
+                 "--certificate", str(trace)]) == 1
+    lines = trace.read_text().splitlines()
+    assert lines[2] == "component: 0 1 2 3 4 5 6 7 8 9"
+    lines[2] = "component: " + component
+    if first:  # the component line may come before the graph it names
+        lines[1], lines[2] = lines[2], lines[1]
+    trace.write_text("\n".join(lines) + "\n")
+    lineno = 2 if first else 3
+    with pytest.raises(files.ParseError, match=re.escape(f"line {lineno}: {message}")):
+        files.verify_fold_trace_file(trace.read_text(), base_dir=str(tmp_path))
+    capsys.readouterr()
+    assert main(["verify", str(trace)]) == 4
+    assert capsys.readouterr() == ("", f"error: line {lineno}: {message}\n")
+
+
+def test_a_component_line_is_not_any_induced_subgraph(tmp_path, capsys):
+    # the cube mixes at (3,1), yet deleting two antipodal vertices leaves an
+    # induced 6-cycle; a trace of it certifies nothing about the cube
+    g = cube_graph().graph
+    cube = tmp_path / "cube.txt"
+    cube.write_text(files.serialize_graph_document(files.GraphDocument(g)))
+    six = [1, 2, 3, 4, 5, 7]  # all but the antipodal 0 and 6
+    sub, _ = induced_subgraph(g, six)
+    assert sub.m == 6 and all(len(sub.adjacency[v]) == 2 for v in range(6))
+    trace = tmp_path / "cube.trace"
+    trace.write_text("fold-trace\ngraph: cube.txt\ncomponent: " + " ".join(map(str, six))
+                     + "\ntarget: 6\nfinal:\n"
+                     + "".join(f"{u} {v}\n" for u, v in sorted(sub.edges)) + "end\n")
+    assert main(["verify", str(trace)]) == 4
+    assert capsys.readouterr().err == (
+        "error: line 3: not the vertex set of a connected component\n")
+    assert main(["mix", str(cube), "-p", "3", "-q", "1"]) == 0

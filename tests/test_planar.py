@@ -7,7 +7,8 @@ from circmix.circular import CircularParams
 from circmix.generators import (c4_pinch_graph, cube_graph, cycle_graph,
                                 grid_graph, mirror_rotation, pinched_octagon,
                                 theta_graph)
-from circmix.graphs import Cycle, build_graph, minimum_cycle_basis
+from circmix import planar
+from circmix.graphs import Cycle, build_graph, enumerate_cycles, minimum_cycle_basis
 from circmix.planar import (EmbeddingError, RotationSystem, face_criterion, faces,
                             minimal_non_mixing_even_cycle, planar_mixing_decider,
                             region_split, separating_cycles)
@@ -99,16 +100,16 @@ class TestRegionSplit:
 class TestSeparatingCycles:
     def test_cube_has_none(self):
         gg = cube_graph()
-        assert separating_cycles(gg.graph, gg.rotation, 4) == []
+        assert list(separating_cycles(gg.graph, gg.rotation, 4)) == []
 
     def test_octagon_has_no_squares_at_all(self):
         gg = cycle_graph(8)
-        assert separating_cycles(gg.graph, gg.rotation, 4) == []
+        assert list(separating_cycles(gg.graph, gg.rotation, 4)) == []
 
     def test_c4_pinch_has_two(self):
         # the four length-2 hub paths pair into two separating squares
         gg = c4_pinch_graph()
-        seps = separating_cycles(gg.graph, gg.rotation, 4)
+        seps = list(separating_cycles(gg.graph, gg.rotation, 4))
         assert len(seps) == 2
         assert {s.vertices for s in seps} == {(0, 1, 2, 3), (0, 4, 2, 5)}
 
@@ -197,19 +198,44 @@ class TestDecider:
                 b, _ = planar_mixing_decider(gg.graph, mirrored, params)
                 assert a.status == b.status, gg.name
 
-    def test_verdict_independent_of_split_order(self):
+    def test_verdict_independent_of_split_order(self, monkeypatch):
+        # the decider splits at the first separating 4-cycle enumerated, so
+        # shuffling the enumeration picks other ones
         rng = random.Random(99)
 
-        def random_chooser(seps):
-            return seps[rng.randrange(len(seps))]
+        def shuffled(g, max_len):
+            cycles = list(enumerate_cycles(g, max_len))
+            rng.shuffle(cycles)
+            yield from cycles
 
         for gg in catalogue():
             for params in (P31, P72):
                 a, _ = planar_mixing_decider(gg.graph, gg.rotation, params)
-                for _ in range(3):
-                    b, _ = planar_mixing_decider(gg.graph, gg.rotation, params,
-                                                 split_chooser=random_chooser)
-                    assert a.status == b.status
+                with monkeypatch.context() as m:
+                    m.setattr(planar, "enumerate_cycles", shuffled)
+                    for _ in range(3):
+                        b, _ = planar_mixing_decider(gg.graph, gg.rotation, params)
+                        assert a.status == b.status
+
+    def test_root_tests_no_square_past_its_first_split(self, monkeypatch):
+        gg = c4_pinch_graph()
+        squares = [c for c in enumerate_cycles(gg.graph, 4) if len(c) == 4]
+        first = next(i for i, c in enumerate(squares)
+                     if region_split(gg.graph, gg.rotation, c).separating)
+        assert first < len(squares) - 1  # a square is left to skip
+        tested = []
+        real = planar.region_split
+
+        def recording(g, rot, c):
+            if g is gg.graph:
+                tested.append(c)
+            return real(g, rot, c)
+
+        monkeypatch.setattr(planar, "region_split", recording)
+        _, tree = planar_mixing_decider(gg.graph, gg.rotation, P31)
+        # the last call cuts the piece at the first separating square
+        assert tested == squares[:first + 1] + [squares[first]]
+        assert tree.detail["cycle"] == squares[first].vertices
 
     def test_block_decomposition_path(self):
         # two hexagons joined by a bridge: three blocks, two of them long
@@ -395,7 +421,7 @@ class TestGenericThresholdProbe:
         threshold = minimal_non_mixing_even_cycle(P52)
         assert threshold == 10
         for length in (4, 6, 8):
-            assert separating_cycles(gg.graph, gg.rotation, length) == []
+            assert list(separating_cycles(gg.graph, gg.rotation, length)) == []
         count, predicted = face_criterion(faces(gg.graph, gg.rotation), threshold)
         actual = is_mixing_oracle(gg.graph, P52).status == "mixing"
         assert predicted == actual, (gg.name, count)
